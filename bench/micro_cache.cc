@@ -1,13 +1,17 @@
 // Micro-benchmarks of the cache library (google-benchmark): SOC/LOC engine
-// operations, hybrid get/set paths, bucket serialization, and the Zipf
+// operations, hybrid get/set paths, the SOC bucket codec, and the Zipf
 // sampler. These measure host CPU cost per operation.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/cache/hybrid_cache.h"
 #include "src/common/clock.h"
+#include "src/common/rng.h"
+#include "src/navy/bucket.h"
 #include "src/navy/sim_ssd_device.h"
 #include "src/ssd/ssd.h"
 #include "src/workload/workload.h"
@@ -100,19 +104,66 @@ void BM_HybridGetMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_HybridGetMiss);
 
-void BM_BucketSerializeRoundTrip(benchmark::State& state) {
-  Bucket bucket(4096);
-  uint64_t evicted = 0;
-  for (int i = 0; i < 8; ++i) {
-    bucket.Insert("key" + std::to_string(i), std::string(400, 'b'), &evicted);
+// A full SOC bucket as MetaKvCache fills it: 7 entries whose small values
+// are drawn from the workload's 64-1024 B range.
+struct SevenEntryBucket {
+  SevenEntryBucket() {
+    const KvWorkloadConfig config = KvWorkloadConfig::MetaKvCache();
+    Rng rng(1);
+    std::vector<uint32_t> sizes;
+    uint64_t used = 0;
+    do {
+      sizes.clear();
+      used = Bucket::kHeaderBytes;
+      for (int i = 0; i < 7; ++i) {
+        sizes.push_back(
+            static_cast<uint32_t>(rng.NextInRange(config.small_value_min, config.small_value_max)));
+        used += Bucket::EntryBytes(KeyString(i), std::string(sizes.back(), 'v'));
+      }
+    } while (used > kBucketBytes);
+    std::vector<uint8_t> spare(kBucketBytes);
+    Bucket bucket(kBucketBytes);
+    for (int i = 0; i < 7; ++i) {
+      bucket = *bucket.InsertInto(KeyString(i), std::string(sizes[i], 'v'), spare.data(), nullptr);
+      image.swap(spare);
+    }
   }
-  std::vector<uint8_t> buf(4096);
+
+  static constexpr uint64_t kBucketBytes = 4096;
+  std::vector<uint8_t> image = std::vector<uint8_t>(kBucketBytes);
+};
+
+// A SOC lookup hit once the bucket is read: validate the image, find the
+// key, copy out its value.
+void BM_BucketLookupInImage(benchmark::State& state) {
+  const SevenEntryBucket fx;
+  const std::string key = KeyString(3);
+  std::string value;
   for (auto _ : state) {
-    bucket.Serialize(buf.data());
-    benchmark::DoNotOptimize(Bucket::Deserialize(buf.data(), 4096));
+    const std::optional<Bucket> bucket = Bucket::Parse(fx.image.data(), fx.kBucketBytes);
+    const std::optional<std::string_view> found = bucket->Find(key);
+    value.assign(found->data(), found->size());
+    benchmark::DoNotOptimize(value.data());
   }
 }
-BENCHMARK(BM_BucketSerializeRoundTrip);
+BENCHMARK(BM_BucketLookupInImage);
+
+// A SOC insert once the bucket is read: validate the image, then write the
+// new image (same-key check, FIFO eviction, append, checksum) to a buffer.
+void BM_BucketInsertRewrite(benchmark::State& state) {
+  const SevenEntryBucket fx;
+  const std::string key = KeyString(100);
+  const std::string value(544, 'n');  // The mean MetaKvCache small value.
+  std::vector<uint8_t> out(fx.kBucketBytes);
+  for (auto _ : state) {
+    const std::optional<Bucket> bucket = Bucket::Parse(fx.image.data(), fx.kBucketBytes);
+    uint64_t evicted = 0;
+    benchmark::DoNotOptimize(bucket->InsertInto(key, value, out.data(), &evicted));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BucketInsertRewrite);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(10'000'000, 0.9);

@@ -1,7 +1,5 @@
 #include "src/navy/bucket.h"
 
-#include <cstring>
-
 #include "src/common/hash.h"
 
 namespace fdpcache {
@@ -9,7 +7,7 @@ namespace fdpcache {
 namespace {
 
 uint32_t PayloadChecksum(const uint8_t* payload, uint64_t len) {
-  return static_cast<uint32_t>(HashBytes(payload, len));
+  return static_cast<uint32_t>(ChecksumBytes(payload, len));
 }
 
 void PutU16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, sizeof(v)); }
@@ -25,104 +23,137 @@ uint32_t GetU32(const uint8_t* p) {
   return v;
 }
 
+// memcpy that tolerates the null data() of an empty string_view.
+void Append(const void* src, size_t n, uint8_t** out) {
+  if (n > 0) {
+    std::memcpy(*out, src, n);
+    *out += n;
+  }
+}
+
 }  // namespace
 
-std::optional<Bucket> Bucket::Deserialize(const uint8_t* data, uint64_t capacity_bytes) {
-  Bucket bucket(capacity_bytes);
-  const uint32_t magic = GetU32(data);
+std::optional<Bucket> Bucket::Parse(const uint8_t* image, uint64_t capacity_bytes) {
+  const uint32_t magic = GetU32(image);
   if (magic == 0) {
     // Never written (deallocated reads return zeroes): an empty bucket.
-    return bucket;
+    return Bucket(capacity_bytes);
   }
   if (magic != kMagic) {
     return std::nullopt;
   }
-  const uint32_t checksum = GetU32(data + 4);
-  const uint32_t num_entries = GetU32(data + 8);
-  const uint32_t payload_len = GetU32(data + 12);
+  const uint32_t checksum = GetU32(image + 4);
+  const uint32_t num_entries = GetU32(image + 8);
+  const uint32_t payload_len = GetU32(image + 12);
   if (kHeaderBytes + payload_len > capacity_bytes) {
     return std::nullopt;
   }
-  if (PayloadChecksum(data + kHeaderBytes, payload_len) != checksum) {
+  const uint8_t* payload = image + kHeaderBytes;
+  if (PayloadChecksum(payload, payload_len) != checksum) {
     return std::nullopt;
   }
-  const uint8_t* p = data + kHeaderBytes;
-  const uint8_t* end = p + payload_len;
+  // Every entry must lie inside the payload, and together they must fill
+  // it exactly; `left` is what remains after the entries walked so far.
+  uint64_t left = payload_len;
   for (uint32_t i = 0; i < num_entries; ++i) {
-    if (p + kPerEntryOverhead > end) {
+    if (left < kPerEntryOverhead) {
       return std::nullopt;
     }
-    const uint16_t key_size = GetU16(p);
-    const uint32_t value_size = GetU32(p + 2);
-    p += kPerEntryOverhead;
-    if (p + key_size + value_size > end) {
+    const uint8_t* p = payload + (payload_len - left);
+    const uint64_t bytes = kPerEntryOverhead + GetU16(p) + uint64_t{GetU32(p + 2)};
+    if (bytes > left) {
       return std::nullopt;
     }
-    BucketEntry entry;
-    entry.key.assign(reinterpret_cast<const char*>(p), key_size);
-    entry.value.assign(reinterpret_cast<const char*>(p + key_size), value_size);
-    p += key_size + value_size;
-    bucket.used_ += EntryBytes(entry.key, entry.value);
-    bucket.entries_.push_back(std::move(entry));
+    left -= bytes;
   }
-  return bucket;
+  if (left != 0) {
+    return std::nullopt;
+  }
+  return Bucket(capacity_bytes, payload, payload_len, num_entries);
 }
 
-void Bucket::Serialize(uint8_t* out) const {
-  std::memset(out, 0, capacity_);
-  uint8_t* p = out + kHeaderBytes;
-  for (const BucketEntry& entry : entries_) {
-    PutU16(p, static_cast<uint16_t>(entry.key.size()));
-    PutU32(p + 2, static_cast<uint32_t>(entry.value.size()));
-    p += kPerEntryOverhead;
-    std::memcpy(p, entry.key.data(), entry.key.size());
-    p += entry.key.size();
-    std::memcpy(p, entry.value.data(), entry.value.size());
-    p += entry.value.size();
+Bucket::Iterator Bucket::FindEntry(std::string_view key) const {
+  Iterator it = begin();
+  while (it != end() && (*it).key != key) {
+    ++it;
   }
-  const uint64_t payload_len = static_cast<uint64_t>(p - (out + kHeaderBytes));
-  PutU32(out, kMagic);
-  PutU32(out + 4, PayloadChecksum(out + kHeaderBytes, payload_len));
-  PutU32(out + 8, static_cast<uint32_t>(entries_.size()));
-  PutU32(out + 12, static_cast<uint32_t>(payload_len));
+  return it;
 }
 
-bool Bucket::Insert(std::string_view key, std::string_view value, uint64_t* evicted) {
+std::optional<std::string_view> Bucket::Find(std::string_view key) const {
+  const Iterator it = FindEntry(key);
+  if (it == end()) {
+    return std::nullopt;
+  }
+  return (*it).value;
+}
+
+std::optional<Bucket> Bucket::InsertInto(std::string_view key, std::string_view value,
+                                         uint8_t* out, uint64_t* evicted) const {
   const uint64_t need = EntryBytes(key, value);
   if (kHeaderBytes + need > capacity_) {
-    return false;
+    return std::nullopt;
   }
-  Remove(key);  // Replace semantics; not counted as an eviction.
-  while (used_ + need > capacity_ && !entries_.empty()) {
-    used_ -= EntryBytes(entries_.front().key, entries_.front().value);
-    entries_.pop_front();
-    if (evicted != nullptr) {
-      ++*evicted;
+  // Replace semantics: the same-key entry goes first, and is not counted as
+  // an eviction.
+  const Iterator same = FindEntry(key);
+  const bool replacing = same != end();
+  uint64_t used = used_bytes() - (replacing ? (*same).bytes() : 0);
+  uint32_t count = num_entries_ - (replacing ? 1 : 0);
+  // FIFO eviction: drop the oldest entries until the new one fits.
+  Iterator keep = begin();
+  for (; keep != end() && used + need > capacity_; ++keep) {
+    if (keep != same) {
+      used -= (*keep).bytes();
+      --count;
+      if (evicted != nullptr) {
+        ++*evicted;
+      }
     }
   }
-  entries_.push_back(BucketEntry{std::string(key), std::string(value)});
-  used_ += need;
-  return true;
+  // The survivors are [keep, end) minus the same-key entry if it lies there.
+  const uint8_t* skip_begin = payload_end_;
+  const uint8_t* skip_end = payload_end_;
+  if (replacing && keep.position() <= same.position()) {
+    skip_begin = same.position();
+    skip_end = skip_begin + (*same).bytes();
+  }
+  uint8_t* p = out + kHeaderBytes;
+  Append(keep.position(), static_cast<size_t>(skip_begin - keep.position()), &p);
+  Append(skip_end, static_cast<size_t>(payload_end_ - skip_end), &p);
+  AppendEntry(key, value, &p);
+  return Seal(out, p, count + 1);
 }
 
-const BucketEntry* Bucket::Find(std::string_view key) const {
-  for (const BucketEntry& entry : entries_) {
-    if (entry.key == key) {
-      return &entry;
-    }
+std::optional<Bucket> Bucket::RemoveInto(std::string_view key, uint8_t* out) const {
+  const Iterator victim = FindEntry(key);
+  if (victim == end()) {
+    return std::nullopt;
   }
-  return nullptr;
+  const uint8_t* victim_end = victim.position() + (*victim).bytes();
+  uint8_t* p = out + kHeaderBytes;
+  Append(payload_, static_cast<size_t>(victim.position() - payload_), &p);
+  Append(victim_end, static_cast<size_t>(payload_end_ - victim_end), &p);
+  return Seal(out, p, num_entries_ - 1);
 }
 
-bool Bucket::Remove(std::string_view key) {
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->key == key) {
-      used_ -= EntryBytes(it->key, it->value);
-      entries_.erase(it);
-      return true;
-    }
-  }
-  return false;
+void Bucket::AppendEntry(std::string_view key, std::string_view value, uint8_t** out) {
+  PutU16(*out, static_cast<uint16_t>(key.size()));
+  PutU32(*out + 2, static_cast<uint32_t>(value.size()));
+  *out += kPerEntryOverhead;
+  Append(key.data(), key.size(), out);
+  Append(value.data(), value.size(), out);
+}
+
+Bucket Bucket::Seal(uint8_t* image, uint8_t* payload_end, uint32_t num_entries) const {
+  uint8_t* payload = image + kHeaderBytes;
+  const uint64_t payload_len = static_cast<uint64_t>(payload_end - payload);
+  std::memset(payload_end, 0, capacity_ - kHeaderBytes - payload_len);
+  PutU32(image, kMagic);
+  PutU32(image + 4, PayloadChecksum(payload, payload_len));
+  PutU32(image + 8, num_entries);
+  PutU32(image + 12, static_cast<uint32_t>(payload_len));
+  return Bucket(capacity_, payload, payload_len, num_entries);
 }
 
 }  // namespace fdpcache

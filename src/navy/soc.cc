@@ -91,40 +91,43 @@ bool SmallObjectCache::Flush() {
   return stats_.write_failures == failures_before;
 }
 
-Bucket SmallObjectCache::ParseBucket(const uint8_t* data) {
-  auto bucket = Bucket::Deserialize(data, config_.bucket_size);
+const uint8_t* SmallObjectCache::PendingImage(uint64_t bucket_id) {
+  const PendingWrite* pending = FindPending(bucket_id);
+  if (pending == nullptr) {
+    return nullptr;
+  }
+  ++stats_.pending_buffer_hits;
+  return pending->buffer.data();
+}
+
+Bucket SmallObjectCache::ParseBucket(const uint8_t* image) {
+  std::optional<Bucket> bucket = Bucket::Parse(image, config_.bucket_size);
   if (!bucket.has_value()) {
     ++stats_.corrupt_buckets;
     return Bucket(config_.bucket_size);
   }
-  return std::move(*bucket);
+  return *bucket;
 }
 
-Bucket SmallObjectCache::LoadBucket(uint64_t bucket_id, bool* io_ok) {
-  if (const PendingWrite* pending = FindPending(bucket_id)) {
-    // Write-back hit: the freshest content is the buffer awaiting the
-    // device, not whatever the device would return today.
-    *io_ok = true;
-    ++stats_.pending_buffer_hits;
-    return ParseBucket(pending->buffer.data());
+void SmallObjectCache::RefillBloom(uint64_t bucket_id, const Bucket& bucket) {
+  blooms_->ClearBucket(bucket_id);
+  for (const Bucket::Entry entry : bucket) {
+    blooms_->Add(bucket_id, HashString(entry.key));
   }
-  const uint64_t offset = config_.base_offset + bucket_id * config_.bucket_size;
-  if (!device_->Read(offset, scratch_.data(), config_.bucket_size, config_.queue_pair)) {
-    *io_ok = false;
-    return Bucket(config_.bucket_size);
-  }
-  *io_ok = true;
-  return ParseBucket(scratch_.data());
 }
 
-bool SmallObjectCache::StoreBucket(uint64_t bucket_id, const Bucket& bucket) {
+bool SmallObjectCache::StoreBucket(uint64_t bucket_id, const Bucket& bucket,
+                                   std::vector<uint8_t> image) {
   ++bucket_gens_[bucket_id];
   const uint64_t offset = config_.base_offset + bucket_id * config_.bucket_size;
+  // `bucket` views `image`'s heap bytes, which stay put (and unmodified)
+  // whether the vector parks in the pending ring or returns to the pool.
   if (config_.inflight_writes == 0) {
     // Synchronous rewrite: device errors surface to the caller immediately.
-    bucket.Serialize(scratch_.data());
-    if (!device_->Write(offset, scratch_.data(), config_.bucket_size, config_.placement,
-                        config_.queue_pair)) {
+    const bool written = device_->Write(offset, image.data(), config_.bucket_size,
+                                        config_.placement, config_.queue_pair);
+    buffer_pool_.push_back(std::move(image));
+    if (!written) {
       return false;
     }
   } else {
@@ -134,8 +137,7 @@ bool SmallObjectCache::StoreBucket(uint64_t bucket_id, const Bucket& bucket) {
     }
     PendingWrite entry;
     entry.bucket_id = bucket_id;
-    entry.buffer = AcquireBuffer();
-    bucket.Serialize(entry.buffer.data());
+    entry.buffer = std::move(image);
     entry.token = device_->Submit(IoRequest::MakeWrite(offset, entry.buffer.data(),
                                                        config_.bucket_size, config_.placement,
                                                        config_.queue_pair));
@@ -143,22 +145,24 @@ bool SmallObjectCache::StoreBucket(uint64_t bucket_id, const Bucket& bucket) {
   }
   stats_.bytes_written += config_.bucket_size;
   if (blooms_.has_value()) {
-    blooms_->ClearBucket(bucket_id);
-    for (const BucketEntry& entry : bucket.entries()) {
-      blooms_->Add(bucket_id, HashString(entry.key));
-    }
+    RefillBloom(bucket_id, bucket);
   }
   return true;
 }
 
 bool SmallObjectCache::CommitInsert(std::string_view key, std::string_view value,
-                                    uint64_t bucket_id, Bucket* bucket) {
+                                    uint64_t bucket_id, const Bucket& bucket) {
+  // The new image goes to a pool buffer: never a pending write's buffer or a
+  // read buffer, so it cannot alias `bucket`'s image.
+  std::vector<uint8_t> image = AcquireBuffer();
   uint64_t evicted = 0;
-  if (!bucket->Insert(key, value, &evicted)) {
+  const std::optional<Bucket> rewritten = bucket.InsertInto(key, value, image.data(), &evicted);
+  if (!rewritten.has_value()) {
+    buffer_pool_.push_back(std::move(image));
     ++stats_.insert_failures;
     return false;
   }
-  if (!StoreBucket(bucket_id, *bucket)) {
+  if (!StoreBucket(bucket_id, *rewritten, std::move(image))) {
     ++stats_.insert_failures;
     return false;
   }
@@ -177,10 +181,8 @@ SmallObjectCache::ReadPlan SmallObjectCache::InsertStart(std::string_view key,
   }
   plan.bucket_id = BucketOf(key);
   plan.offset = config_.base_offset + plan.bucket_id * config_.bucket_size;
-  if (const PendingWrite* pending = FindPending(plan.bucket_id)) {
-    ++stats_.pending_buffer_hits;
-    Bucket bucket = ParseBucket(pending->buffer.data());
-    plan.ok = CommitInsert(key, value, plan.bucket_id, &bucket);
+  if (const uint8_t* image = PendingImage(plan.bucket_id)) {
+    plan.ok = CommitInsert(key, value, plan.bucket_id, ParseBucket(image));
     return plan;
   }
   plan.needs_read = true;
@@ -189,19 +191,17 @@ SmallObjectCache::ReadPlan SmallObjectCache::InsertStart(std::string_view key,
 
 bool SmallObjectCache::InsertFinish(std::string_view key, std::string_view value,
                                     uint64_t bucket_id, const uint8_t* buffer, bool io_ok) {
-  Bucket bucket(config_.bucket_size);
-  if (const PendingWrite* pending = FindPending(bucket_id)) {
-    // A newer rewrite of this bucket was submitted while the read was in
-    // flight; its buffer (not the device image we read) is the freshest.
-    ++stats_.pending_buffer_hits;
-    bucket = ParseBucket(pending->buffer.data());
-  } else if (!io_ok) {
-    ++stats_.insert_failures;
-    return false;
-  } else {
-    bucket = ParseBucket(buffer);
+  // A newer rewrite of this bucket submitted while the read was in flight
+  // supersedes the device image we read: its buffer is the freshest.
+  const uint8_t* image = PendingImage(bucket_id);
+  if (image == nullptr) {
+    if (!io_ok) {
+      ++stats_.insert_failures;
+      return false;
+    }
+    image = buffer;
   }
-  return CommitInsert(key, value, bucket_id, &bucket);
+  return CommitInsert(key, value, bucket_id, ParseBucket(image));
 }
 
 bool SmallObjectCache::Insert(std::string_view key, std::string_view value) {
@@ -230,13 +230,10 @@ SmallObjectCache::ReadPlan SmallObjectCache::LookupStart(std::string_view key,
     ++stats_.bloom_rejects;
     return plan;
   }
-  if (const PendingWrite* pending = FindPending(plan.bucket_id)) {
-    ++stats_.pending_buffer_hits;
-    Bucket bucket = ParseBucket(pending->buffer.data());
-    const BucketEntry* entry = bucket.Find(key);
-    if (entry != nullptr) {
+  if (const uint8_t* image = PendingImage(plan.bucket_id)) {
+    if (const std::optional<std::string_view> found = ParseBucket(image).Find(key)) {
       ++stats_.hits;
-      plan.value = entry->value;
+      plan.value.emplace(*found);
     }
     return plan;
   }
@@ -248,26 +245,26 @@ SmallObjectCache::FinishStatus SmallObjectCache::LookupFinish(std::string_view k
                                                               const ReadPlan& plan,
                                                               const uint8_t* buffer,
                                                               bool io_ok, std::string* value) {
-  Bucket bucket(config_.bucket_size);
-  if (const PendingWrite* pending = FindPending(plan.bucket_id)) {
-    ++stats_.pending_buffer_hits;
-    bucket = ParseBucket(pending->buffer.data());
-  } else if (bucket_gens_[plan.bucket_id] != plan.bucket_gen) {
-    // A rewrite of this bucket was submitted AND retired while the read was
-    // parked: the image we read is pre-rewrite flash (e.g. it may still
-    // show a key a completed Remove deleted). Restart from fresh state.
-    return FinishStatus::kRetry;
-  } else if (!io_ok) {
-    return FinishStatus::kMiss;
-  } else {
-    bucket = ParseBucket(buffer);
+  const uint8_t* image = PendingImage(plan.bucket_id);
+  if (image == nullptr) {
+    if (bucket_gens_[plan.bucket_id] != plan.bucket_gen) {
+      // A rewrite of this bucket was submitted AND retired while the read
+      // was parked: the image we read is pre-rewrite flash (e.g. it may
+      // still show a key a completed Remove deleted). Restart from fresh
+      // state.
+      return FinishStatus::kRetry;
+    }
+    if (!io_ok) {
+      return FinishStatus::kMiss;
+    }
+    image = buffer;
   }
-  const BucketEntry* entry = bucket.Find(key);
-  if (entry == nullptr) {
+  const std::optional<std::string_view> found = ParseBucket(image).Find(key);
+  if (!found.has_value()) {
     return FinishStatus::kMiss;
   }
   ++stats_.hits;
-  *value = entry->value;
+  value->assign(found->data(), found->size());
   return FinishStatus::kHit;
 }
 
@@ -301,15 +298,16 @@ uint64_t SmallObjectCache::RecoverBloomFilters() {
   uint64_t populated = 0;
   for (uint64_t bucket_id = 0; bucket_id < num_buckets_; ++bucket_id) {
     blooms_->ClearBucket(bucket_id);
-    bool io_ok = true;
-    const Bucket bucket = LoadBucket(bucket_id, &io_ok);
-    if (!io_ok || bucket.num_entries() == 0) {
+    const uint64_t offset = config_.base_offset + bucket_id * config_.bucket_size;
+    if (!device_->Read(offset, scratch_.data(), config_.bucket_size, config_.queue_pair)) {
+      continue;
+    }
+    const Bucket bucket = ParseBucket(scratch_.data());
+    if (bucket.num_entries() == 0) {
       continue;
     }
     ++populated;
-    for (const BucketEntry& entry : bucket.entries()) {
-      blooms_->Add(bucket_id, HashString(entry.key));
-    }
+    RefillBloom(bucket_id, bucket);
   }
   return populated;
 }
@@ -324,12 +322,15 @@ bool SmallObjectCache::MayContain(std::string_view key) const {
   return blooms_->MayContain(BucketOf(key), HashString(key));
 }
 
-bool SmallObjectCache::CommitRemove(std::string_view key, uint64_t bucket_id, Bucket* bucket) {
-  if (bucket->Find(key) == nullptr) {
+bool SmallObjectCache::CommitRemove(std::string_view key, uint64_t bucket_id,
+                                    const Bucket& bucket) {
+  std::vector<uint8_t> image = AcquireBuffer();
+  const std::optional<Bucket> rewritten = bucket.RemoveInto(key, image.data());
+  if (!rewritten.has_value()) {
+    buffer_pool_.push_back(std::move(image));
     return false;
   }
-  bucket->Remove(key);
-  if (!StoreBucket(bucket_id, *bucket)) {
+  if (!StoreBucket(bucket_id, *rewritten, std::move(image))) {
     return false;
   }
   ++stats_.removes;
@@ -350,10 +351,8 @@ SmallObjectCache::ReadPlan SmallObjectCache::RemoveStart(std::string_view key) {
     ++stats_.bloom_rejects;
     return plan;
   }
-  if (const PendingWrite* pending = FindPending(plan.bucket_id)) {
-    ++stats_.pending_buffer_hits;
-    Bucket bucket = ParseBucket(pending->buffer.data());
-    plan.ok = CommitRemove(key, plan.bucket_id, &bucket);
+  if (const uint8_t* image = PendingImage(plan.bucket_id)) {
+    plan.ok = CommitRemove(key, plan.bucket_id, ParseBucket(image));
     return plan;
   }
   plan.needs_read = true;
@@ -362,16 +361,14 @@ SmallObjectCache::ReadPlan SmallObjectCache::RemoveStart(std::string_view key) {
 
 bool SmallObjectCache::RemoveFinish(std::string_view key, uint64_t bucket_id,
                                     const uint8_t* buffer, bool io_ok) {
-  Bucket bucket(config_.bucket_size);
-  if (const PendingWrite* pending = FindPending(bucket_id)) {
-    ++stats_.pending_buffer_hits;
-    bucket = ParseBucket(pending->buffer.data());
-  } else if (!io_ok) {
-    return false;
-  } else {
-    bucket = ParseBucket(buffer);
+  const uint8_t* image = PendingImage(bucket_id);
+  if (image == nullptr) {
+    if (!io_ok) {
+      return false;
+    }
+    image = buffer;
   }
-  return CommitRemove(key, bucket_id, &bucket);
+  return CommitRemove(key, bucket_id, ParseBucket(image));
 }
 
 bool SmallObjectCache::Remove(std::string_view key) {

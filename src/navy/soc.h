@@ -88,7 +88,7 @@ class SmallObjectCache {
   // --- Split-step API (async cache tier) -------------------------------------
   // Each operation splits into a Start step (bloom filters, pending-buffer
   // consult, read planning — everything resolvable without touching the
-  // device) and a Finish step (parse + bucket logic). When Start returns
+  // device) and a Finish step (parse + bucket rewrite). When Start returns
   // needs_read, the caller reads `bucket_size` bytes at `offset` however it
   // likes — Submit() and park for the async path, a blocking Read for the
   // sync one — and then calls the matching Finish with the buffer. The
@@ -160,18 +160,22 @@ class SmallObjectCache {
     std::vector<uint8_t> buffer;
   };
 
-  // Reads and parses the bucket; corrupted contents count and become empty.
-  Bucket LoadBucket(uint64_t bucket_id, bool* io_ok);
-  bool StoreBucket(uint64_t bucket_id, const Bucket& bucket);
+  // Writes `image` (a pool buffer holding the new bucket, viewed by
+  // `bucket`) to the bucket's slot, synchronously or through the pending
+  // ring, and refills the bucket's bloom bits from it.
+  bool StoreBucket(uint64_t bucket_id, const Bucket& bucket, std::vector<uint8_t> image);
+  void RefillBloom(uint64_t bucket_id, const Bucket& bucket);
 
-  // Deserializes a raw bucket image; corrupted contents count and become
-  // empty (the shared tail of LoadBucket and the Finish steps).
-  Bucket ParseBucket(const uint8_t* data);
-  // Insert/remove into an already-loaded bucket + store; the shared tail of
-  // the blocking ops and the Finish steps.
+  // Validates a raw bucket image; corrupted contents count and become empty.
+  Bucket ParseBucket(const uint8_t* image);
+  // The newest pending write's image of `bucket_id` (counted as a buffer
+  // hit), or nullptr when none is pending.
+  const uint8_t* PendingImage(uint64_t bucket_id);
+  // Rewrites `bucket` with the insert/remove applied into a pool buffer and
+  // stores it; the shared tail of the blocking ops and the Finish steps.
   bool CommitInsert(std::string_view key, std::string_view value, uint64_t bucket_id,
-                    Bucket* bucket);
-  bool CommitRemove(std::string_view key, uint64_t bucket_id, Bucket* bucket);
+                    const Bucket& bucket);
+  bool CommitRemove(std::string_view key, uint64_t bucket_id, const Bucket& bucket);
 
   // Newest pending write for `bucket_id`, or nullptr.
   const PendingWrite* FindPending(uint64_t bucket_id) const;
@@ -190,8 +194,9 @@ class SmallObjectCache {
   // of DRAM as the bloom filters).
   std::vector<uint64_t> bucket_gens_;
   std::optional<BucketBloomFilters> blooms_;
-  std::vector<uint8_t> scratch_;  // One bucket of I/O scratch space.
+  std::vector<uint8_t> scratch_;  // Read buffer of the blocking ops.
   std::deque<PendingWrite> pending_;
+  // Spare bucket buffers: each rewrite builds its new image in one.
   std::vector<std::vector<uint8_t>> buffer_pool_;
   SocStats stats_;
 };

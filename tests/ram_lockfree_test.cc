@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -246,21 +247,31 @@ TEST(RamLockfreeTest, ActiveReaderBlocksReclamation) {
 }
 
 TEST(RamLockfreeTest, RetryCounterAdvancesUnderForcedInvalidation) {
-  // Deterministic seqlock exercise without relying on scheduling: one
-  // writer thread updates a single key in a 1-bucket cache while a reader
-  // probes a MISSING key in the same bucket. Every probe of the missing
-  // key must validate the version; probes overlapping an unlink retry.
+  // Seqlock exercise: one writer thread updates a single key in a 1-bucket
+  // cache while a reader probes a MISSING key in the same bucket. Every
+  // probe of the missing key must validate the version; probes overlapping
+  // an unlink retry. The probes start only once the writer is running and
+  // stop at the first retry or a wall deadline, so a loaded machine that
+  // schedules the writer late cannot end the loop before the race begins.
   RamCache cache(1 << 20, /*num_buckets=*/1);
   std::atomic<bool> stop{false};
+  std::atomic<bool> writing{false};
   std::thread writer([&] {
     uint64_t seq = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       cache.Put("hot", MakePayload("hot", seq++));  // Update = unlink+insert.
+      writing.store(true, std::memory_order_release);
     }
   });
+  while (!writing.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::string value;
-  for (int i = 0; i < 200000 && cache.stats().optimistic_retries == 0; ++i) {
-    cache.Get("absent", &value);
+  while (cache.stats().optimistic_retries == 0 && std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 1000; ++i) {
+      cache.Get("absent", &value);
+    }
   }
   stop.store(true);
   writer.join();
