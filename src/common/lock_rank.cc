@@ -17,16 +17,12 @@ const std::vector<RankInfo>& DocumentedRanks() {
       {kRamEvict, "ram_evict", "RamCache::evict_mu_; held while taking bucket locks in EvictToBudget"},
       {kRamBucket, "ram_bucket", "RamCache::Bucket::mu; one bucket at a time, under evict on eviction"},
       {kRamLimbo, "ram_limbo", "RamCache::limbo_mu_; Retire runs under the eviction lock"},
-      {kLaneConflict, "lane_conflict", "ExecLaneEngine::conflict_mu_; consulted before lane push"},
-      {kLane, "lane", "ExecLaneEngine::Lane::mu; minor = lane index, Stop sweeps ascending"},
-      {kLaneLatch, "lane_latch", "ExecLaneEngine::Latch::mu; leaf handshake between lanes"},
-      {kLaneSched, "lane_sched", "ExecLaneEngine::sched_mu_; die timeline, taken with lanes released"},
+      {kLane, "lane", "ExecLaneEngine::Lane::mu; leaf, one lane lock at a time"},
       {kQueuePair, "qp", "QueuedDevice::IoQueuePair::mu; minor = QP index, ResetStats sweeps ascending"},
       {kDeviceStats, "device_stats", "Device::latency_mu_; nests inside the owning QP lock (PR 9)"},
       {kDevicePipeline, "device_pipeline", "QueuedDevice::mu_; dispatcher wake/idle handshake"},
-      {kDeviceAsync, "device_async", "QueuedDevice::async_mu_; async-backend conflict tracker"},
+      {kDeviceTracker, "device_tracker", "QueuedDevice::tracker_mu_; the one conflict tracker"},
       {kUringSubmit, "uring_submit", "UringFileDevice::submit_mu_; leaf (reaper completes unlocked)"},
-      {kUringPool, "uring_pool", "UringFileDevice::pool_mu_; leaf (workers complete unlocked)"},
       {kSsd, "ssd", "SimulatedSsd::mu_; under the shard lock on the blocking path"},
       {kTrace, "trace", "obs::TraceController::mu_; first-span ring registration under QP/shard/SSD"},
       {kMetricsExporter, "metrics_exporter", "obs::MetricsExporter::mu_; held while rendering"},

@@ -8,8 +8,8 @@
 // is documented in comments" into "any run of any test that nests two locks
 // the wrong way dies on the spot" — the dynamic complement to the Clang
 // Thread Safety Analysis annotations (which cannot model dynamic arrays of
-// locks such as the ascending all-QP sweep in QueuedDevice::ResetStats or
-// ExecLaneEngine::Stop; the runtime checker covers exactly those).
+// locks such as the ascending all-QP sweep in QueuedDevice::ResetStats; the
+// runtime checker covers exactly those).
 //
 // The whole checker compiles to nothing when NDEBUG is defined: fdp::Mutex
 // is then a bare std::mutex and Release `fdpbench --qd=1` CSVs stay
@@ -17,10 +17,10 @@
 //
 // Rank encoding: composite 32-bit value (major << 16) | minor. Majors give
 // the cross-subsystem total order (outermost lock = lowest major); minors
-// order indexed lock families within one major (queue pairs and execution
-// lanes are acquired in ascending index order when a sweep holds several at
-// once). Rank 0 (kUnranked) opts a mutex out of ordering checks but keeps
-// it on the held stack for AssertHeld() and self-deadlock detection.
+// order indexed lock families within one major (queue pairs are acquired in
+// ascending index order when a sweep holds several at once). Rank 0
+// (kUnranked) opts a mutex out of ordering checks but keeps it on the held
+// stack for AssertHeld() and self-deadlock detection.
 //
 // The full rank table with the nesting evidence for each edge lives in
 // README.md ("Lock discipline"); keep the two in sync.
@@ -57,41 +57,37 @@ enum Major : uint32_t {
   kRamBucket = 0x05,  // RamCache::Bucket::mu (one bucket at a time)
   kRamLimbo = 0x06,   // RamCache::limbo_mu_
 
-  // Execution lanes. Dispatch consults the conflict tracker before pushing
-  // to a lane queue; Stop holds every lane lock in ascending index order
-  // (minor = lane index). Latch and die-scheduler locks never nest with
-  // anything but rank after the lanes they serve.
-  kLaneConflict = 0x07,  // ExecLaneEngine::conflict_mu_
-  kLane = 0x08,          // ExecLaneEngine::Lane::mu, minor = lane index
-  kLaneLatch = 0x09,     // ExecLaneEngine::Latch::mu
-  kLaneSched = 0x0a,     // ExecLaneEngine::sched_mu_
+  // Execution lanes (QueuedDevice's lane pool and UringFileDevice's
+  // thread-pool fallback). A leaf: Dispatch, the worker and the stats
+  // snapshot each hold one lane lock at a time and take nothing under it
+  // (minor = lane index, for diagnostics).
+  kLane = 0x07,  // ExecLaneEngine::Lane::mu
 
   // Queued device. Completions record per-QP and aggregate latency stats as
   // one unit under the QP lock (PR 9), so the aggregate stats lock nests
   // inside kQueuePair; ResetStats takes every QP lock in ascending index
   // order (minor = QP index) before the aggregate lock.
-  kQueuePair = 0x0b,       // QueuedDevice::IoQueuePair::mu, minor = QP index
-  kDeviceStats = 0x0c,     // Device::latency_mu_
-  kDevicePipeline = 0x0d,  // QueuedDevice::mu_ (dispatcher handshake)
-  kDeviceAsync = 0x0e,     // QueuedDevice::async_mu_ (async conflict tracker)
+  kQueuePair = 0x08,       // QueuedDevice::IoQueuePair::mu, minor = QP index
+  kDeviceStats = 0x09,     // Device::latency_mu_
+  kDevicePipeline = 0x0a,  // QueuedDevice::mu_ (dispatcher handshake)
+  kDeviceTracker = 0x0b,   // QueuedDevice::tracker_mu_ (the conflict tracker)
 
-  // io_uring file backend. Both are leaf locks: the reaper and pool workers
-  // copy op state out and complete requests with neither lock held.
-  kUringSubmit = 0x0f,  // UringFileDevice::submit_mu_
-  kUringPool = 0x10,    // UringFileDevice::pool_mu_
+  // io_uring file backend. A leaf lock: the reaper copies op state out and
+  // completes requests with it released.
+  kUringSubmit = 0x0c,  // UringFileDevice::submit_mu_
 
   // Simulated SSD. Taken during Execute with no pipeline locks held, but
   // under the shard lock on the blocking cache path.
-  kSsd = 0x11,  // SimulatedSsd::mu_
+  kSsd = 0x0d,  // SimulatedSsd::mu_
 
   // Observability. A thread's first RecordSpan registers its ring under the
   // trace lock — and can happen under the shard, QP, or SSD lock, so the
   // trace lock ranks after all of them. The metrics registry lock is a pure
   // leaf (collectors run with it released); the exporter lock may be held
   // while rendering, so it ranks just before the registry.
-  kTrace = 0x12,            // obs::TraceController::mu_
-  kMetricsExporter = 0x13,  // obs::MetricsExporter::mu_
-  kMetrics = 0x14,          // obs::MetricsRegistry::mu_
+  kTrace = 0x0e,            // obs::TraceController::mu_
+  kMetricsExporter = 0x0f,  // obs::MetricsExporter::mu_
+  kMetrics = 0x10,          // obs::MetricsRegistry::mu_
 };
 
 // Composite rank: majors order subsystems, minors order indexed lock

@@ -16,10 +16,11 @@
 // overlapping write/trim sequences within a queue pair resolve exactly as
 // submitted; disjoint requests on one queue pair may execute concurrently
 // when the device runs parallel execution lanes (IoQueueConfig::exec_lanes,
-// see src/navy/exec_lanes.h) and execute in strict per-QP FIFO order on the
-// inline dispatcher path (exec_lanes == 0). Ordering ACROSS queue pairs is
-// arbitration-dependent — callers that need cross-request ordering must keep
-// those requests on one queue pair (exactly the guarantee real NVMe gives).
+// see src/navy/exec_lanes.h) or an asynchronous backend, and execute in
+// strict per-QP FIFO order on the inline dispatcher path. Ordering ACROSS
+// queue pairs is arbitration-dependent — callers that need cross-request
+// ordering must keep those requests on one queue pair (exactly the guarantee
+// real NVMe gives).
 // The blocking Write/Read/Trim calls are a synchronous shim (Submit + Wait)
 // so callers can migrate incrementally.
 //
@@ -146,10 +147,11 @@ struct QueuePairStats {
   // or a full SQ ring before being admitted — the backpressure that prevents
   // deep queues from convoying the backend (QD-64 collapse).
   uint64_t admission_waits = 0;
-  // Requests an asynchronous backend (BeginExecute path) had to park behind
-  // an overlapping same-QP request still in flight, to preserve the per-QP
-  // ordering guarantee. Always zero on synchronous backends, where the
-  // dispatcher/lane conflict tracker orders overlaps instead.
+  // Requests the conflict tracker parked behind an overlapping same-QP
+  // request still in flight, to preserve the per-QP ordering guarantee. The
+  // tracker runs for execution lanes and asynchronous (BeginExecute)
+  // backends; always zero on the inline dispatcher path, whose strict
+  // per-QP FIFO needs no tracking.
   uint64_t conflict_defers = 0;
   Histogram read_latency_ns;
   Histogram write_latency_ns;
@@ -193,13 +195,14 @@ inline std::vector<QueuePairStats> MergeQueuePairStats(std::vector<QueuePairStat
 struct LaneStats {
   // Requests routed to this lane by the die-affine stripe map.
   uint64_t dispatches = 0;
-  // Dispatches that had to chain behind an earlier overlapping request on
-  // the same queue pair (the ordering-aware conflict tracker fired).
+  // Dispatches of requests the conflict tracker had parked behind an earlier
+  // overlapping request on the same queue pair before they reached this
+  // lane. Summed over lanes it equals the sum of
+  // QueuePairStats::conflict_defers on a quiescent device.
   uint64_t conflict_waits = 0;
-  // Device-model execution time this lane accumulated (IoResult::latency_ns
-  // folded through a DieScheduler, the same accounting the simulated SSD
-  // uses for its dies) — cross-checkable against SsdTelemetry's per-die
-  // busy time.
+  // Device-model execution time this lane accumulated (the sum of its
+  // requests' IoResult::latency_ns) — cross-checkable against
+  // SsdTelemetry's per-die busy time.
   uint64_t busy_ns = 0;
   // Lane-queue occupancy sampled at every dispatch (after the push).
   Histogram queue_depth;
@@ -296,10 +299,11 @@ class Device {
   // completion has been published (i.e. once the token is reapable). The
   // cache tier's completion poller uses it to wake its pump instead of
   // busy-polling tokens. The hook runs on the device's completion thread
-  // (dispatcher or lane worker) and must be cheap and non-blocking — in
-  // particular it must not Submit() or Wait() on this device. The inline
-  // SyncIo fast path never fires it (there is no parked token to pump).
-  // Thread-safe; pass an empty function to clear. Last setter wins.
+  // (dispatcher, lane worker or backend reaper) and must be cheap and
+  // non-blocking — in particular it must not Submit() or Wait() on this
+  // device. The inline SyncIo fast path never fires it (there is no parked
+  // token to pump). Thread-safe; pass an empty function to clear. Last
+  // setter wins.
   void SetCompletionHook(std::function<void()> hook) {
     auto next = hook ? std::make_shared<const std::function<void()>>(std::move(hook))
                      : std::shared_ptr<const std::function<void()>>();

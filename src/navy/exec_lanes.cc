@@ -7,65 +7,32 @@ ExecLaneEngine::ExecLaneEngine(uint32_t num_lanes, uint64_t lane_stripe_bytes,
                                std::function<IoResult(const IoRequest&)> execute,
                                std::function<void(const LaneTask&, const IoResult&)> complete)
     : stripe_bytes_(lane_stripe_bytes == 0 ? 1 : lane_stripe_bytes),
-      lane_queue_depth_(lane_queue_depth == 0 ? 1 : lane_queue_depth),
+      lane_queue_depth_(lane_queue_depth),
       execute_(std::move(execute)),
-      complete_(std::move(complete)),
-      lane_sched_(num_lanes == 0 ? 1 : num_lanes) {
+      complete_(std::move(complete)) {
   const uint32_t n = num_lanes == 0 ? 1 : num_lanes;
   lanes_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     lanes_.push_back(std::make_unique<Lane>(i));
   }
-  for (uint32_t i = 0; i < n; ++i) {
-    lanes_[i]->worker = std::thread([this, i] { WorkerLoop(i); });
+  for (auto& lane : lanes_) {
+    Lane* raw = lane.get();
+    lane->worker = std::thread([this, raw] { WorkerLoop(*raw); });
   }
 }
 
 ExecLaneEngine::~ExecLaneEngine() { Stop(); }
 
-bool ExecLaneEngine::Conflicts(const ConflictEntry& entry, const IoRequest& request) {
-  if (entry.op == IoOp::kRead && request.op == IoOp::kRead) {
-    return false;  // Reads never order against each other.
-  }
-  // Half-open range overlap; zero-sized requests conflict with nothing.
-  return entry.offset < request.offset + request.size &&
-         request.offset < entry.offset + entry.size;
-}
-
-void ExecLaneEngine::Dispatch(LaneTask task) {
-  QueuedTask queued;
-  // Admit into the conflict tracker first: admission order (the dispatcher's
-  // arbitration order, which is per-QP submission order) is the retirement
-  // order enforced on overlapping same-QP requests.
-  {
-    fdp::MutexLock lock(&conflict_mu_);
-    std::list<ConflictEntry>& inflight = inflight_[task.qp];
-    for (const ConflictEntry& entry : inflight) {
-      if (Conflicts(entry, task.request)) {
-        queued.waits_on.push_back(entry.latch);
-      }
-    }
-    ConflictEntry entry;
-    entry.offset = task.request.offset;
-    entry.size = task.request.size;
-    entry.op = task.request.op;
-    entry.latch = std::make_shared<Latch>();
-    queued.latch = entry.latch;
-    inflight.push_back(std::move(entry));
-    queued.entry = std::prev(inflight.end());
-  }
-  const uint32_t lane_index = RouteLane(task.request.offset);
-  queued.task = std::move(task);
-  Lane& lane = *lanes_[lane_index];
+void ExecLaneEngine::Dispatch(LaneTask task, bool promoted) {
+  Lane& lane = *lanes_[RouteLane(task.request.offset)];
   {
     fdp::MutexLock lock(&lane.mu);
-    while (lane.queue.size() >= lane_queue_depth_) {
+    while (!promoted && lane_queue_depth_ != 0 && lane.queue.size() >= lane_queue_depth_) {
       lane.space_cv.Wait(&lane.mu);
     }
-    const bool waited = !queued.waits_on.empty();
-    lane.queue.push_back(std::move(queued));
+    lane.queue.push_back(std::move(task));
     ++lane.stats.dispatches;
-    if (waited) {
+    if (promoted) {
       ++lane.stats.conflict_waits;
     }
     lane.stats.queue_depth.Record(lane.queue.size());
@@ -73,65 +40,38 @@ void ExecLaneEngine::Dispatch(LaneTask task) {
   lane.work_cv.NotifyOne();
 }
 
-void ExecLaneEngine::WorkerLoop(uint32_t lane_index) {
-  Lane& lane = *lanes_[lane_index];
+void ExecLaneEngine::WorkerLoop(Lane& lane) {
   for (;;) {
-    QueuedTask queued;
+    LaneTask task;
     {
       fdp::MutexLock lock(&lane.mu);
-      while (!stop_ && lane.queue.empty()) {
+      while (!lane.stop && lane.queue.empty()) {
         lane.work_cv.Wait(&lane.mu);
       }
       if (lane.queue.empty()) {
-        return;  // stop_ is set and everything dispatched here has run.
+        return;  // Stopped, and everything queued here has run.
       }
-      queued = std::move(lane.queue.front());
+      task = std::move(lane.queue.front());
       lane.queue.pop_front();
     }
     lane.space_cv.NotifyOne();
-    // Chain behind every earlier overlapping same-QP request. Dependencies
-    // only ever point at earlier-dispatched tasks, so this cannot cycle.
-    for (const std::shared_ptr<Latch>& dep : queued.waits_on) {
-      dep->Await();
-    }
-    const IoResult result = execute_(queued.task.request);
-    // Publish the completion BEFORE signalling: a chained request starts
-    // only after this one has fully retired (CQ entry visible, stats
-    // recorded) — retirement order equals submission order.
-    complete_(queued.task, result);
+    const IoResult result = execute_(task.request);
     {
-      fdp::MutexLock lock(&sched_mu_);
-      lane_sched_.Schedule(lane_index, 0, result.latency_ns);
+      // Account before publishing: once the completion is out, Drain() can
+      // return and the caller may snapshot or reset these stats.
+      fdp::MutexLock lock(&lane.mu);
+      lane.stats.busy_ns += result.latency_ns;
     }
-    {
-      fdp::MutexLock lock(&conflict_mu_);
-      inflight_[queued.task.qp].erase(queued.entry);
-    }
-    queued.latch->Signal();
+    complete_(task, result);
   }
 }
 
-// NO_THREAD_SAFETY_ANALYSIS: holds a dynamic array of lane locks, which the
-// static analysis cannot model; the debug lock-rank checker enforces the
-// ascending lane-index acquire order at run time (kLane minors).
-void ExecLaneEngine::Stop() NO_THREAD_SAFETY_ANALYSIS {
-  // stop_ is read under each lane's mutex in the worker wait predicate;
-  // take them all (ascending lane index) so no worker misses the flag.
+void ExecLaneEngine::Stop() {
   for (auto& lane : lanes_) {
-    lane->mu.Lock();
-  }
-  const bool already_stopped = stopped_;
-  if (!already_stopped) {
-    stopped_ = true;
-    stop_ = true;
-  }
-  for (auto it = lanes_.rbegin(); it != lanes_.rend(); ++it) {
-    (*it)->mu.Unlock();
-  }
-  if (already_stopped) {
-    return;
-  }
-  for (auto& lane : lanes_) {
+    {
+      fdp::MutexLock lock(&lane->mu);
+      lane->stop = true;
+    }
     lane->work_cv.NotifyAll();
   }
   for (auto& lane : lanes_) {
@@ -144,17 +84,9 @@ void ExecLaneEngine::Stop() NO_THREAD_SAFETY_ANALYSIS {
 std::vector<LaneStats> ExecLaneEngine::Stats() const {
   std::vector<LaneStats> out;
   out.reserve(lanes_.size());
-  for (uint32_t i = 0; i < lanes_.size(); ++i) {
-    LaneStats stats;
-    {
-      fdp::MutexLock lock(&lanes_[i]->mu);
-      stats = lanes_[i]->stats;
-    }
-    {
-      fdp::MutexLock lock(&sched_mu_);
-      stats.busy_ns = lane_sched_.busy_ns(i);
-    }
-    out.push_back(std::move(stats));
+  for (const auto& lane : lanes_) {
+    fdp::MutexLock lock(&lane->mu);
+    out.push_back(lane->stats);
   }
   return out;
 }
@@ -164,8 +96,6 @@ void ExecLaneEngine::ResetStats() {
     fdp::MutexLock lock(&lane->mu);
     lane->stats = LaneStats{};
   }
-  fdp::MutexLock lock(&sched_mu_);
-  lane_sched_.Reset();
 }
 
 }  // namespace fdpcache

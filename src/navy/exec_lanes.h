@@ -1,51 +1,47 @@
-// ExecLaneEngine: parallel execution lanes behind the queue-pair arbiter.
+// ExecLaneEngine: a pool of execution lanes that runs requests the
+// QueuedDevice conflict tracker has already cleared.
 //
-// The QueuedDevice dispatcher keeps arbitrating across submission queues
-// (RR/WRR/read-priority, unchanged), but with lanes enabled it no longer
-// executes requests inline: each popped request is routed to one of N lane
-// worker threads by a die-affine stripe map — lane = (offset /
-// lane_stripe_bytes) % num_lanes — so requests that would land on
-// independent NAND dies execute concurrently, the way an SSD controller
-// fans transactions out to per-die back-end servers (MQSim's multi-queue
-// front-end / back-end split, in host software).
+// Each lane is one worker thread with its own FIFO queue. A task is routed
+// die-affinely by its first byte — lane = (offset / stripe_bytes) %
+// num_lanes — so requests that would land on independent NAND dies execute
+// concurrently, the way an SSD controller fans transactions out to per-die
+// back-end servers (MQSim's multi-queue front-end / back-end split, in host
+// software).
 //
-// Correctness comes from the ordering-aware conflict tracker: two requests
-// on the SAME queue pair whose byte ranges overlap (unless both are reads),
-// including any trim vs. write on the same range, must retire in submission
-// order. At dispatch the tracker records every in-flight same-QP conflict as
-// a dependency; the lane worker waits those latches out before executing, so
-// the later request starts only after the earlier one has fully retired
-// (completion recorded, token reaped-able). Disjoint requests — same QP or
-// different QPs — share no latch and run fully in parallel. Dependencies
-// always point from later-dispatched to earlier-dispatched requests and lane
-// queues drain FIFO in dispatch order, so the wait graph is acyclic: the
-// oldest unfinished request is always runnable, and the engine cannot
-// deadlock.
+// The pool enforces no ordering of its own. QueuedDevice's per-QP tracker
+// (src/navy/queued_device.h) parks every request that overlaps one still in
+// flight on its queue pair and hands the pool only cleared ones, so any two
+// queued tasks may run in any order. Two executors share this one pool:
+//   - QueuedDevice's lanes (IoQueueConfig::exec_lanes > 0), each lane queue
+//     bounded at sq_depth so dispatcher pushes feel backpressure;
+//   - UringFileDevice's thread-pool fallback: unbounded queues, striped by
+//     the backing page size.
 //
-// Per-lane accounting (LaneStats): dispatches, conflict waits, a lane-queue
-// depth histogram, and busy time folded through a DieScheduler — the same
-// accounting object the simulated SSD uses for its dies — so reports can put
-// host-side lane utilization next to device-side die utilization.
+// A retirement promotes parked work from a completion context, which can be
+// the worker of the very lane the promoted task routes to. Promoted pushes
+// therefore never wait for lane space; only a dispatcher push into a full
+// bounded lane blocks.
+//
+// Per-lane accounting (LaneStats): dispatches, promoted tasks
+// (conflict_waits), a lane-queue depth histogram, and the summed
+// device-model latency (busy_ns), all under the lane's own lock.
 #ifndef SRC_NAVY_EXEC_LANES_H_
 #define SRC_NAVY_EXEC_LANES_H_
 
 #include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/thread_annotations.h"
 #include "src/navy/device.h"
-#include "src/ssd/die_scheduler.h"
 
 namespace fdpcache {
 
-// One arbitrated request in flight through the lanes. `qp` is the normalized
-// queue-pair index the request was popped from (what the completion callback
-// needs to file the result into the right CQ).
+// One arbitrated request in flight through an executor. `qp` is the
+// normalized queue-pair index the request was popped from (what the
+// completion callback needs to file the result into the right CQ).
 struct LaneTask {
   CompletionToken token = kInvalidToken;
   IoRequest request;
@@ -59,12 +55,10 @@ struct LaneTask {
 
 class ExecLaneEngine {
  public:
-  // `execute` runs the blocking backend op (thread-safe: lane workers call
-  // it concurrently); `complete` publishes the completion (CQ insert, stats)
-  // and is called from lane worker threads, one call per dispatched task,
-  // before any request chained behind it may start. `lane_queue_depth`
-  // bounds each lane's queue; Dispatch blocks (backpressure) when the routed
-  // lane is full.
+  // `execute` runs one blocking backend op (lane workers call it
+  // concurrently); `complete` publishes its result from the same worker.
+  // `lane_queue_depth` bounds each lane's queue for dispatcher pushes; 0
+  // leaves the queues unbounded.
   ExecLaneEngine(uint32_t num_lanes, uint64_t lane_stripe_bytes, uint32_t lane_queue_depth,
                  std::function<IoResult(const IoRequest&)> execute,
                  std::function<void(const LaneTask&, const IoResult&)> complete);
@@ -73,105 +67,46 @@ class ExecLaneEngine {
   ExecLaneEngine(const ExecLaneEngine&) = delete;
   ExecLaneEngine& operator=(const ExecLaneEngine&) = delete;
 
-  // Die-affine route: the lane that owns the stripe containing `offset`.
-  // Requests spanning multiple stripes route by their first byte.
-  uint32_t RouteLane(uint64_t offset) const {
-    return static_cast<uint32_t>((offset / stripe_bytes_) % lanes_.size());
-  }
+  // Queues a cleared task on its lane. `promoted` marks a task the tracker
+  // parked and a retirement released: it counts as a conflict wait and never
+  // waits for lane space. Any other push blocks while its bounded lane is
+  // full. Thread-safe.
+  void Dispatch(LaneTask task, bool promoted);
 
-  // Hands one arbitrated request to its lane. Must be called from a single
-  // thread (the dispatcher): conflict admission order IS the retirement
-  // order the tracker enforces. Blocks while the routed lane's queue is
-  // full.
-  void Dispatch(LaneTask task);
-
-  // Executes everything already dispatched, then joins the workers.
-  // Idempotent; no Dispatch may race or follow this.
+  // Runs everything already queued, then joins the workers. Idempotent;
+  // nothing may Dispatch once it has begun.
   void Stop();
 
   std::vector<LaneStats> Stats() const;
   void ResetStats();
 
-  uint32_t num_lanes() const { return static_cast<uint32_t>(lanes_.size()); }
-  uint64_t stripe_bytes() const { return stripe_bytes_; }
-
  private:
-  // Completion latch for one in-flight request; later conflicting requests
-  // block on it until the earlier one has retired. Leaf lock: Signal/Await
-  // are always called with no other lock held.
-  struct Latch {
-    fdp::Mutex mu{lock_rank::Make(lock_rank::kLaneLatch), "lane_latch"};
-    fdp::CondVar cv;
-    bool done GUARDED_BY(mu) = false;
-
-    void Signal() {
-      {
-        fdp::MutexLock lock(&mu);
-        done = true;
-      }
-      cv.NotifyAll();
-    }
-    void Await() {
-      fdp::MutexLock lock(&mu);
-      while (!done) {
-        cv.Wait(&mu);
-      }
-    }
-  };
-
-  // One in-flight request's footprint in the per-QP conflict list.
-  struct ConflictEntry {
-    uint64_t offset = 0;
-    uint64_t size = 0;
-    IoOp op = IoOp::kRead;
-    std::shared_ptr<Latch> latch;
-  };
-
-  struct QueuedTask {
-    LaneTask task;
-    std::shared_ptr<Latch> latch;                  // Signalled when this task retires.
-    std::list<ConflictEntry>::iterator entry;      // This task's tracker entry.
-    std::vector<std::shared_ptr<Latch>> waits_on;  // Earlier conflicting requests.
-  };
-
-  // The rank minor is the lane index: Stop() holds every lane lock at once
-  // and must sweep them in ascending index order.
+  // The rank minor is the lane index, which names the lane in lock-rank
+  // diagnostics; no code path holds two lane locks at once.
   struct Lane {
     explicit Lane(uint32_t index) : mu(lock_rank::Make(lock_rank::kLane, index), "lane") {}
 
     mutable fdp::Mutex mu;
     fdp::CondVar work_cv;   // Task queued / stop requested.
     fdp::CondVar space_cv;  // Queue space freed.
-    std::deque<QueuedTask> queue GUARDED_BY(mu);
-    // busy_ns lives in lane_sched_, filled in at snapshot.
+    std::deque<LaneTask> queue GUARDED_BY(mu);
     LaneStats stats GUARDED_BY(mu);
+    bool stop GUARDED_BY(mu) = false;
     std::thread worker;
   };
 
-  static bool Conflicts(const ConflictEntry& entry, const IoRequest& request);
-  void WorkerLoop(uint32_t lane_index);
+  // Die-affine route: the lane that owns the stripe containing `offset`.
+  // Requests spanning multiple stripes route by their first byte.
+  uint32_t RouteLane(uint64_t offset) const {
+    return static_cast<uint32_t>((offset / stripe_bytes_) % lanes_.size());
+  }
+  void WorkerLoop(Lane& lane);
 
   const uint64_t stripe_bytes_;
   const uint32_t lane_queue_depth_;
   const std::function<IoResult(const IoRequest&)> execute_;
   const std::function<void(const LaneTask&, const IoResult&)> complete_;
-
-  // Ordering-aware conflict tracker: per-QP lists of in-flight requests.
-  // Guarded by conflict_mu_; entries are admitted by the dispatcher (in
-  // arbitration order) and erased by lane workers at retirement.
-  fdp::Mutex conflict_mu_{lock_rank::Make(lock_rank::kLaneConflict), "lane_conflict"};
-  std::unordered_map<uint32_t, std::list<ConflictEntry>> inflight_ GUARDED_BY(conflict_mu_);
-
-  // Lane busy-time accounting, one "die" per lane.
-  mutable fdp::Mutex sched_mu_{lock_rank::Make(lock_rank::kLaneSched), "lane_sched"};
-  DieScheduler lane_sched_ GUARDED_BY(sched_mu_);
-
   std::vector<std::unique_ptr<Lane>> lanes_;
-  // Guarded by EVERY lane's mu (written in Stop() with all lane locks held,
-  // read by each worker under its own lane.mu) — a multi-mutex guard the
-  // static analysis cannot express, so these stay unannotated.
-  bool stop_ = false;     // Set under every lane's mu in Stop().
-  bool stopped_ = false;  // Stop() ran to completion (join done).
 };
 
 }  // namespace fdpcache

@@ -5,7 +5,8 @@
 // I/O goes through the same QueuedDevice multi-queue-pair pipeline as the
 // simulated SSD, so it is safe for concurrent submitters; with
 // IoQueueConfig::exec_lanes > 0 the positioned pread/pwrite calls run
-// concurrently from the lane workers (they share the one fd safely).
+// concurrently from the lane pool's workers (they share the one fd safely),
+// ordered per queue pair by QueuedDevice's conflict tracker.
 // Completion latencies are wall-clock.
 //
 // Opening semantics (src/navy/file_backing.h): an EXISTING file or block

@@ -5,6 +5,15 @@
 namespace fdpcache {
 namespace {
 
+// Completion-hook coalescing: the owner's completion hook (the cache-tier
+// poller wakeup) fires once per this many completions instead of per
+// completion, cutting cross-layer wakeup traffic at high cache-QD. A partial
+// batch is flushed when the pipeline goes idle — BEFORE the last active slot
+// is released, so the Drain() teardown contract ("after Drain(), no hook
+// invocation is in flight") still holds. Per-token Wait()/Poll() waiters are
+// woken per completion regardless; only the hook is batched.
+constexpr uint32_t kCompletionBatch = 16;
+
 IoQueueConfig Normalize(IoQueueConfig config) {
   // Tokens reserve the bits above kQpShift (16 of 64) for the queue-pair
   // index; more queue pairs than that would alias tokens across QPs and
@@ -28,9 +37,6 @@ IoQueueConfig Normalize(IoQueueConfig config) {
   if (config.lane_stripe_bytes == 0) {
     config.lane_stripe_bytes = 256 * 1024;
   }
-  if (config.completion_batch == 0) {
-    config.completion_batch = 1;
-  }
   // Each lane is a real thread; cap the count so a config typo cannot fork
   // thousands of workers.
   constexpr uint32_t kMaxExecLanes = 256;
@@ -48,7 +54,7 @@ QueuedDevice::QueuedDevice(const IoQueueConfig& queue_config)
   for (uint32_t i = 0; i < queue_config_.num_queue_pairs; ++i) {
     qps_.push_back(std::make_unique<IoQueuePair>(i));
   }
-  async_.resize(queue_config_.num_queue_pairs);
+  trackers_.resize(queue_config_.num_queue_pairs);
   arb_credit_ = WeightOf(0);
   if (queue_config_.exec_lanes > 0) {
     lanes_ = std::make_unique<ExecLaneEngine>(
@@ -70,32 +76,29 @@ QueuedDevice::~QueuedDevice() {
 void QueuedDevice::StopQueue() {
   {
     fdp::MutexLock lock(&mu_);
-    if (stopped_) {
+    if (stop_) {
       return;
     }
-    stopped_ = true;
     stop_ = true;
     work_cv_.NotifyOne();
   }
   if (dispatcher_.joinable()) {
     dispatcher_.join();
   }
-  if (lanes_ != nullptr) {
-    // The dispatcher has drained every SQ; the lanes still hold whatever it
-    // handed off. Stop() executes the backlog and joins the workers, so no
-    // lane can touch the derived class after this returns.
-    lanes_->Stop();
-  }
-  // Async backends: requests handed to BeginExecute (including deferred
-  // conflicts) may still be in flight on the subclass's completion context;
-  // they hold active_ slots until their CompleteLaneTask runs. Wait them out
-  // while the subclass's reaper is still alive, so the derived destructor
-  // can tear its backend down with nothing left to call back.
+  // The dispatcher has drained every SQ, but popped requests may still be
+  // executing on a lane or the subclass's backend, or parked in the tracker;
+  // each holds an active_ slot until its CompleteLaneTask runs. Wait them
+  // all out first: a retirement can promote parked work into ANY lane, so
+  // every lane worker must outlive the last retirement, and the subclass's
+  // reaper must still be alive to deliver its completions.
   {
     fdp::MutexLock lock(&mu_);
     while (active_ != 0) {
       idle_cv_.Wait(&mu_);
     }
+  }
+  if (lanes_ != nullptr) {
+    lanes_->Stop();
   }
 }
 
@@ -260,21 +263,22 @@ IoResult QueuedDevice::SyncIo(const IoRequest& request) {
   return Wait(Submit(request));
 }
 
+IoResult QueuedDevice::ExecuteBlocking(const IoRequest& request) {
+  switch (request.op) {
+    case IoOp::kWrite:
+      return ExecuteWrite(request.offset, request.data, request.size, request.handle);
+    case IoOp::kRead:
+      return ExecuteRead(request.offset, request.out, request.size);
+    case IoOp::kTrim:
+      return ExecuteTrim(request.offset, request.size);
+  }
+  return IoResult{};
+}
+
 IoResult QueuedDevice::Execute(const IoRequest& request) {
   const uint64_t trace_start =
       (request.trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-  IoResult result;
-  switch (request.op) {
-    case IoOp::kWrite:
-      result = ExecuteWrite(request.offset, request.data, request.size, request.handle);
-      break;
-    case IoOp::kRead:
-      result = ExecuteRead(request.offset, request.out, request.size);
-      break;
-    case IoOp::kTrim:
-      result = ExecuteTrim(request.offset, request.size);
-      break;
-  }
+  const IoResult result = ExecuteBlocking(request);
   if (trace_start != 0) {
     obs::RecordSpan(request.trace_id, obs::TraceStage::kDeviceExecute, trace_start,
                     obs::NowNs(), static_cast<uint8_t>(request.op));
@@ -372,34 +376,21 @@ void QueuedDevice::DispatcherLoop() {
     uint32_t qp_index = 0;
     // queued_total_ was nonzero and this thread is the only popper, so some
     // ring holds a request; PopNext scans them all.
-    const bool popped = PopNext(&pending, &qp_index);
-    if (popped && lanes_ != nullptr) {
-      // Lane path: hand the popped request to its die-affine lane; the lane
-      // worker publishes the completion and releases the active_ slot this
-      // loop iteration took. Dispatch may block on lane backpressure, which
-      // is fine — backpressure is supposed to reach the submitters.
+    if (PopNext(&pending, &qp_index)) {
       LaneTask task;
       task.token = pending.token;
       task.request = pending.request;
       task.qp = qp_index;
-      lanes_->Dispatch(std::move(task));
-      continue;
-    }
-    if (popped) {
-      LaneTask task;
-      task.token = pending.token;
-      task.request = pending.request;
-      task.qp = qp_index;
-      if (SupportsAsyncExecute()) {
-        // Async path: register the request with the per-QP conflict tracker
-        // and hand it to the backend; the dispatcher never blocks on the
-        // actual I/O. The backend's completion context (or the synchronous
-        // fallback inside IssueAsync) releases the active_ slot.
-        StartAsync(std::move(task));
+      if (Tracked()) {
+        // Lane pool or async backend: the tracker issues the request (or
+        // parks it behind an overlap) and the executor's completion releases
+        // the active_ slot this iteration took. Only a push into a full lane
+        // blocks the dispatcher — backpressure meant to reach submitters.
+        Track(std::move(task));
         continue;
       }
       // Inline path: execute on this thread and publish through the same
-      // completion routine the lane workers use.
+      // completion routine every executor uses.
       CompleteLaneTask(task, Execute(task.request));
       continue;
     }
@@ -435,16 +426,16 @@ void QueuedDevice::CompleteLaneTask(const LaneTask& task, const IoResult& result
     qp.space_cv.NotifyAll();
     qp.complete_cv.NotifyAll();
   }
-  if (lanes_ == nullptr && SupportsAsyncExecute()) {
-    // Retire the request from the conflict tracker and launch any deferred
+  if (Tracked()) {
+    // Retire the request from the conflict tracker and launch any parked
     // overlapping requests it was blocking, BEFORE the hook/active_ block:
-    // the unblocked I/O should hit the backend as soon as the ordering
+    // the unblocked I/O should reach its executor as soon as the ordering
     // guarantee allows. Promoted tasks hold their own active_ slots, so
-    // Drain() still waits for them.
-    RetireAsync(task);
+    // Drain() and StopQueue() still wait for them.
+    Retire(task);
   }
   // The completion is reapable: wake any cache-tier poller parked on this
-  // device's tokens — but batched. The hook fires once per completion_batch
+  // device's tokens — but batched. The hook fires once per kCompletionBatch
   // completions; a partial batch is flushed by whichever completion is the
   // last active execution with nothing queued (serialized under mu_, so
   // exactly one completion sees active_ == 1 at pipeline idle). Either way
@@ -454,7 +445,7 @@ void QueuedDevice::CompleteLaneTask(const LaneTask& task, const IoResult& result
   // whatever state the hook touches.
   const uint32_t pending_hooks =
       unhooked_completions_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  bool flush = pending_hooks >= queue_config_.completion_batch;
+  bool flush = pending_hooks >= kCompletionBatch;
   {
     fdp::MutexLock lock(&mu_);
     if (!flush && active_ == 1 && queued_total_.load() == 0) {
@@ -473,57 +464,53 @@ void QueuedDevice::CompleteLaneTask(const LaneTask& task, const IoResult& result
   }
 }
 
-bool QueuedDevice::AsyncConflicts(uint64_t offset, uint64_t size, IoOp op,
-                                  const IoRequest& request) {
-  // Same rule the lane conflict tracker applies: overlapping ranges must
-  // retire in submission order unless both sides are reads.
-  const bool overlap = offset < request.offset + request.size &&
-                       request.offset < offset + size;
-  return overlap && !(op == IoOp::kRead && request.op == IoOp::kRead);
+bool QueuedDevice::Overlaps(const IoRequest& a, const IoRequest& b) {
+  // Half-open ranges; zero-sized requests overlap nothing.
+  const bool overlap = a.offset < b.offset + b.size && b.offset < a.offset + a.size;
+  return overlap && !(a.op == IoOp::kRead && b.op == IoOp::kRead);
 }
 
-void QueuedDevice::StartAsync(LaneTask task) {
+bool QueuedDevice::MustPark(const QpTracker& tracker, const IoRequest& request,
+                            std::deque<LaneTask>::const_iterator parked_end) {
+  for (const LaneTask& running : tracker.inflight) {
+    if (Overlaps(running.request, request)) {
+      return true;
+    }
+  }
+  // A request must also not jump ahead of an older parked one it overlaps,
+  // or the two would retire out of submission order once that one runs.
+  for (auto parked = tracker.parked.begin(); parked != parked_end; ++parked) {
+    if (Overlaps(parked->request, request)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void QueuedDevice::Track(LaneTask task) {
   {
-    fdp::MutexLock lock(&async_mu_);
-    AsyncQp& aq = async_[task.qp];
-    bool conflict = false;
-    for (const AsyncEntry& entry : aq.inflight) {
-      if (AsyncConflicts(entry.offset, entry.size, entry.op, task.request)) {
-        conflict = true;
-        break;
-      }
-    }
-    if (!conflict) {
-      // A request must also not jump ahead of an older deferred one it
-      // overlaps, or the two would retire out of submission order once the
-      // deferred one is promoted.
-      for (const LaneTask& parked : aq.deferred) {
-        if (AsyncConflicts(parked.request.offset, parked.request.size,
-                           parked.request.op, task.request)) {
-          conflict = true;
-          break;
-        }
-      }
-    }
-    if (conflict) {
-      ++aq.defers;
-      aq.deferred.push_back(std::move(task));
+    fdp::MutexLock lock(&tracker_mu_);
+    QpTracker& tracker = trackers_[task.qp];
+    if (MustPark(tracker, task.request, tracker.parked.end())) {
+      ++tracker.defers;
+      tracker.parked.push_back(std::move(task));
       return;
     }
-    AsyncEntry entry;
-    entry.offset = task.request.offset;
-    entry.size = task.request.size;
-    entry.op = task.request.op;
-    entry.token = task.token;
-    aq.inflight.push_back(entry);
+    tracker.inflight.push_back(task);
   }
-  IssueAsync(task);
+  Issue(task, /*promoted=*/false);
 }
 
-void QueuedDevice::IssueAsync(const LaneTask& task) {
-  // async_mu_ is NOT held here: BeginExecute may submit to a kernel queue
-  // (and must tolerate concurrent callers), and the synchronous fallback
+void QueuedDevice::Issue(const LaneTask& task, bool promoted) {
+  // tracker_mu_ is NOT held here: a lane push may wait for space,
+  // BeginExecute may submit to a kernel queue, and the synchronous fallback
   // runs the full blocking Execute + completion.
+  if (lanes_ != nullptr) {
+    // The lane worker's Execute() records the device_execute span, so no
+    // issue_ns is stamped here.
+    lanes_->Dispatch(task, promoted);
+    return;
+  }
   if (obs::TracingEnabled() && task.request.trace_id != 0) {
     LaneTask timed = task;
     timed.issue_ns = obs::NowNs();
@@ -541,54 +528,33 @@ void QueuedDevice::IssueAsync(const LaneTask& task) {
   }
 }
 
-void QueuedDevice::RetireAsync(const LaneTask& task) {
+void QueuedDevice::Retire(const LaneTask& task) {
   std::vector<LaneTask> promoted;
   {
-    fdp::MutexLock lock(&async_mu_);
-    AsyncQp& aq = async_[task.qp];
-    for (auto it = aq.inflight.begin(); it != aq.inflight.end(); ++it) {
+    fdp::MutexLock lock(&tracker_mu_);
+    QpTracker& tracker = trackers_[task.qp];
+    for (auto it = tracker.inflight.begin(); it != tracker.inflight.end(); ++it) {
       if (it->token == task.token) {
-        aq.inflight.erase(it);
+        tracker.inflight.erase(it);
         break;
       }
     }
-    // Promote deferred requests in FIFO order. A candidate launches only if
-    // it conflicts with nothing in flight AND nothing still parked ahead of
-    // it; promoted entries join inflight immediately so later candidates in
-    // this same scan see them.
-    for (auto it = aq.deferred.begin(); it != aq.deferred.end();) {
-      bool blocked = false;
-      for (const AsyncEntry& entry : aq.inflight) {
-        if (AsyncConflicts(entry.offset, entry.size, entry.op, it->request)) {
-          blocked = true;
-          break;
-        }
-      }
-      if (!blocked) {
-        for (auto earlier = aq.deferred.begin(); earlier != it; ++earlier) {
-          if (AsyncConflicts(earlier->request.offset, earlier->request.size,
-                             earlier->request.op, it->request)) {
-            blocked = true;
-            break;
-          }
-        }
-      }
-      if (blocked) {
+    // Promote parked requests in FIFO order. A candidate launches only if it
+    // conflicts with nothing in flight AND nothing still parked ahead of it;
+    // promoted entries join inflight immediately so later candidates in this
+    // same scan see them.
+    for (auto it = tracker.parked.begin(); it != tracker.parked.end();) {
+      if (MustPark(tracker, it->request, it)) {
         ++it;
         continue;
       }
-      AsyncEntry entry;
-      entry.offset = it->request.offset;
-      entry.size = it->request.size;
-      entry.op = it->request.op;
-      entry.token = it->token;
-      aq.inflight.push_back(entry);
+      tracker.inflight.push_back(*it);
       promoted.push_back(std::move(*it));
-      it = aq.deferred.erase(it);
+      it = tracker.parked.erase(it);
     }
   }
   for (const LaneTask& next : promoted) {
-    IssueAsync(next);
+    Issue(next, /*promoted=*/true);
   }
 }
 
@@ -599,9 +565,9 @@ std::vector<QueuePairStats> QueuedDevice::PerQueuePairStats() const {
     fdp::MutexLock lock(&qp->mu);
     out.push_back(qp->stats);
   }
-  fdp::MutexLock lock(&async_mu_);
-  for (size_t i = 0; i < out.size() && i < async_.size(); ++i) {
-    out[i].conflict_defers = async_[i].defers;
+  fdp::MutexLock lock(&tracker_mu_);
+  for (size_t i = 0; i < out.size() && i < trackers_.size(); ++i) {
+    out[i].conflict_defers = trackers_[i].defers;
   }
   return out;
 }
@@ -631,9 +597,9 @@ void QueuedDevice::ResetStats() NO_THREAD_SAFETY_ANALYSIS {
     (*it)->mu.Unlock();
   }
   {
-    fdp::MutexLock lock(&async_mu_);
-    for (AsyncQp& aq : async_) {
-      aq.defers = 0;
+    fdp::MutexLock lock(&tracker_mu_);
+    for (QpTracker& tracker : trackers_) {
+      tracker.defers = 0;
     }
   }
   if (lanes_ != nullptr) {

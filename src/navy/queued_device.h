@@ -8,30 +8,38 @@
 // ring is full, and ONE dispatcher thread arbitrates across the SQs —
 // round-robin by default, weighted-round-robin via IoQueueConfig weights,
 // optionally serving reads ahead of queued writes within the selected QP's
-// slot. What happens to a popped request depends on IoQueueConfig::exec_lanes:
+// slot. A popped request goes to one of three executors:
 //
-//   exec_lanes == 0 (default): the dispatcher executes it inline against the
-//   blocking backend (ExecuteWrite/Read/Trim, supplied by the derived
-//   device) — strict per-QP FIFO, the single-executor pipeline of PR 3,
-//   bit-compatible with it.
+//   inline (exec_lanes == 0, no async backend): the dispatcher executes it
+//   against the blocking backend (ExecuteWrite/Read/Trim, supplied by the
+//   derived device). Strict per-QP FIFO, no threads, no tracking; the
+//   single-executor pipeline of PR 3, bit-compatible with it.
 //
-//   exec_lanes > 0: the dispatcher hands it to an ExecLaneEngine
-//   (src/navy/exec_lanes.h) — N lane worker threads, die-affine routing by
-//   offset stripe, an ordering-aware conflict tracker chaining overlapping
-//   same-QP requests — so independent byte ranges execute concurrently while
-//   overlapping same-QP requests still retire in submission order.
+//   the lane pool (exec_lanes > 0): an ExecLaneEngine
+//   (src/navy/exec_lanes.h) of N worker threads with die-affine routing by
+//   offset stripe, so independent byte ranges execute concurrently.
+//
+//   the backend's own BeginExecute (SupportsAsyncExecute(), exec_lanes ==
+//   0): a real kernel queue such as io_uring starts the request and
+//   completes it later from its own thread.
+//
+// The last two share ONE conflict tracker (Track/Retire): a per-QP list of
+// requests in flight plus a FIFO of parked ones. A request that overlaps a
+// same-QP request still in flight (or parked ahead of it) parks until that
+// one retires, so overlapping same-QP requests retire in submission order
+// while disjoint requests run in parallel.
 //
 // Completions land in the owning QP's table keyed by token; tokens encode
 // their queue pair, so Poll()/Wait() work from any thread on any token
 // (cross-QP reaping is fine).
 //
 // Ordering: overlapping requests on the SAME queue pair retire in submission
-// order (full per-QP FIFO when exec_lanes == 0); ordering across queue pairs
+// order (full per-QP FIFO on the inline path); ordering across queue pairs
 // is up to the arbiter. Concurrent submitters therefore still get a device
 // that behaves like one NVMe SSD — which is what lets every ShardedCache
 // shard share ONE simulated FDP device on its own queue pair and genuinely
-// interleave placement streams on the same NAND geometry, now with the
-// backend parallelism of the NAND dies those streams land on.
+// interleave placement streams on the same NAND geometry, with the backend
+// parallelism of the NAND dies those streams land on.
 #ifndef SRC_NAVY_QUEUED_DEVICE_H_
 #define SRC_NAVY_QUEUED_DEVICE_H_
 
@@ -76,8 +84,9 @@ struct IoQueueConfig {
   // Parallel execution lanes behind the arbiter (see ExecLaneEngine,
   // src/navy/exec_lanes.h). 0 = the dispatcher executes every popped request
   // inline (the PR 3 single-executor pipeline, bit-compatible); N > 0 routes
-  // each popped request to one of N lane worker threads by offset stripe,
-  // with overlapping same-QP requests chained to retire in submission order.
+  // each popped request the conflict tracker clears to one of N lane worker
+  // threads by offset stripe. Takes precedence over a backend's
+  // BeginExecute.
   uint32_t exec_lanes = 0;
   // Die-affine stripe size for lane routing: lane = (offset /
   // lane_stripe_bytes) % exec_lanes. Pick the device's natural write unit
@@ -93,16 +102,6 @@ struct IoQueueConfig {
   // larger than the whole window is still admitted once the QP is empty
   // (no starvation). 0 disables the window (ring depth alone gates).
   uint64_t qp_window_bytes = 4 * 1024 * 1024;
-  // Completion-hook coalescing: fire the owner's completion hook (the
-  // cache-tier poller wakeup) once per this many completions instead of per
-  // completion, cutting cross-layer wakeup traffic at high cache-QD. The
-  // device always flushes a partial batch when the pipeline goes idle — and
-  // does so BEFORE releasing its last active slot, so the Drain() teardown
-  // contract ("after Drain(), no hook invocation is in flight") still
-  // holds. Per-token Wait()/Poll() waiters are woken per completion
-  // regardless; only the hook is batched. 0 is treated as 1 (fire every
-  // completion, the pre-batching behaviour).
-  uint32_t completion_batch = 16;
 };
 
 class QueuedDevice : public Device {
@@ -137,21 +136,25 @@ class QueuedDevice : public Device {
     return static_cast<uint32_t>(qps_.size());
   }
   std::vector<QueuePairStats> PerQueuePairStats() const override;
-  // Per-lane dispatch/busy/queue-depth stats; empty on the inline dispatcher
-  // path (exec_lanes == 0).
+  // Per-lane dispatch/busy/queue-depth stats; empty unless exec_lanes > 0.
   std::vector<LaneStats> PerLaneStats() const override;
   void ResetStats() override;
 
   const IoQueueConfig& queue_config() const { return queue_config_; }
 
  protected:
-  // Blocking backend ops, executed on the dispatcher thread in per-QP
-  // submission order (or inline by SyncIo). Implementations validate
-  // alignment/bounds themselves and report failures through IoResult::ok.
+  // Blocking backend ops, run by whichever executor serves the request (the
+  // dispatcher, a lane worker, a subclass's own pool) or inline by SyncIo,
+  // possibly concurrently. Implementations validate alignment/bounds
+  // themselves and report failures through IoResult::ok.
   virtual IoResult ExecuteWrite(uint64_t offset, const void* data, uint64_t size,
                                 PlacementHandle handle) = 0;
   virtual IoResult ExecuteRead(uint64_t offset, void* out, uint64_t size) = 0;
   virtual IoResult ExecuteTrim(uint64_t offset, uint64_t size) = 0;
+
+  // Runs `request` on the blocking ops above without recording a trace
+  // span; for a subclass's own worker pool, whose tasks carry issue_ns.
+  IoResult ExecuteBlocking(const IoRequest& request);
 
   // --- Asynchronous backend execution -----------------------------------------
   // A subclass whose backend is itself asynchronous (a real kernel queue:
@@ -161,22 +164,21 @@ class QueuedDevice : public Device {
   //
   //   - BeginExecute(task) is called once per popped request, from the
   //     dispatcher thread or from a completion context that just unblocked a
-  //     deferred request — implementations must tolerate concurrent calls.
+  //     parked request — implementations must tolerate concurrent calls and
+  //     must not block waiting for another request to complete.
   //   - Returning true means the backend took ownership and MUST call
   //     CompleteLaneTask(task, result) exactly once later, from any thread
   //     (its reaper, a pool worker). Returning false declines the request:
   //     the pipeline executes it synchronously via ExecuteWrite/Read/Trim on
   //     the calling thread (escape hatch for op types with no async path).
   //   - The per-QP overlap-ordering guarantee is enforced HERE, not by the
-  //     subclass: before BeginExecute the pipeline checks the request
-  //     against every same-QP request still in flight (or deferred) and
-  //     parks conflicting ones; a deferred request is issued only after the
-  //     requests it overlaps have fully retired. Disjoint requests are
-  //     issued back to back and may complete in any order.
+  //     subclass: the conflict tracker hands BeginExecute only requests
+  //     that overlap nothing still in flight on their queue pair. Issued
+  //     requests may complete in any order.
   //
-  // exec_lanes > 0 takes precedence: lane workers always run the blocking
-  // Execute* ops (a thread-pool execution mode) and BeginExecute is never
-  // called. The SyncIo idle fast path likewise stays synchronous.
+  // exec_lanes > 0 takes precedence: the lane pool runs the blocking
+  // Execute* ops and BeginExecute is never called. The SyncIo idle fast path
+  // likewise stays synchronous.
   virtual bool SupportsAsyncExecute() const { return false; }
   virtual bool BeginExecute(const LaneTask& task) {
     (void)task;
@@ -184,16 +186,16 @@ class QueuedDevice : public Device {
   }
 
   // Publishes one executed request: aggregate + per-QP stats, CQ insert,
-  // waiter wakeups, window credit, deferred-conflict promotion, and the
-  // global active_ decrement. Called from lane worker threads (lane path),
-  // the dispatcher (inline path), and async backends' completion contexts
-  // (BeginExecute path) — the one completion routine all paths share.
+  // waiter wakeups, window credit, retirement from the conflict tracker
+  // (promoting parked requests), and the global active_ decrement. Called
+  // from lane workers, the dispatcher (inline path), and async backends'
+  // completion contexts — the one completion routine all executors share.
   void CompleteLaneTask(const LaneTask& task, const IoResult& result);
 
   // Stops the dispatcher after it finishes everything already submitted,
-  // then waits out executions still in flight on lanes or an async backend.
-  // Every derived destructor MUST call this first (before tearing down its
-  // own reaper/pool), so no pipeline thread can call into a
+  // waits out every request still parked or executing, then stops the lane
+  // pool. Every derived destructor MUST call this first (before tearing down
+  // its own reaper/pool), so no pipeline thread can call into a
   // partially-destroyed derived class. Idempotent.
   void StopQueue();
 
@@ -237,20 +239,11 @@ class QueuedDevice : public Device {
     return static_cast<uint32_t>(token >> kQpShift);
   }
 
-  // One async in-flight request's footprint in the per-QP conflict list
-  // (BeginExecute path only).
-  struct AsyncEntry {
-    uint64_t offset = 0;
-    uint64_t size = 0;
-    IoOp op = IoOp::kRead;
-    CompletionToken token = kInvalidToken;
-  };
-
-  // Per-QP async execution state: requests handed to the backend and not yet
-  // retired, plus the FIFO of requests parked behind a same-QP overlap.
-  struct AsyncQp {
-    std::vector<AsyncEntry> inflight;
-    std::deque<LaneTask> deferred;
+  // Per-QP conflict-tracker state: requests issued to an executor and not
+  // yet retired, plus the FIFO of requests parked behind a same-QP overlap.
+  struct QpTracker {
+    std::vector<LaneTask> inflight;
+    std::deque<LaneTask> parked;
     uint64_t defers = 0;  // Total requests that had to park (monotonic).
   };
 
@@ -263,21 +256,30 @@ class QueuedDevice : public Device {
   bool AdmissibleLocked(const IoQueuePair& qp, const IoRequest& request) const REQUIRES(qp.mu);
   void RecordQpCompletion(IoQueuePair& qp, const IoRequest& request, const IoResult& result)
       REQUIRES(qp.mu);
+  // ExecuteBlocking plus the request's device_execute span.
   IoResult Execute(const IoRequest& request);
-  // True when `request` overlaps `entry` and at least one of the two writes
-  // (the same conflict rule the lane engine's tracker applies).
-  static bool AsyncConflicts(uint64_t offset, uint64_t size, IoOp op, const IoRequest& request);
-  // Async-backend admission: registers the popped task as in flight and
-  // issues it via IssueAsync, or parks it behind a conflicting same-QP
-  // request; parked tasks are re-admitted by RetireAsync as their blockers
-  // complete.
-  void StartAsync(LaneTask task);
-  // BeginExecute with the synchronous fallback for declined requests.
-  void IssueAsync(const LaneTask& task);
-  // Removes a retired async request from the conflict list and issues every
-  // deferred request the retirement unblocked (FIFO, skipping none that are
-  // still conflicted).
-  void RetireAsync(const LaneTask& task);
+  // True when the lane pool or the backend's BeginExecute runs popped
+  // requests, i.e. they pass through the conflict tracker.
+  bool Tracked() const { return lanes_ != nullptr || SupportsAsyncExecute(); }
+  // The one ordering rule: same-QP requests whose byte ranges overlap retire
+  // in submission order unless both are reads (a trim counts as a write).
+  static bool Overlaps(const IoRequest& a, const IoRequest& b);
+  // True when `request` overlaps a request in flight on its queue pair or
+  // one parked in [parked.begin(), parked_end).
+  static bool MustPark(const QpTracker& tracker, const IoRequest& request,
+                       std::deque<LaneTask>::const_iterator parked_end);
+  // Dispatcher-side admission: registers the popped task as in flight and
+  // issues it, or parks it behind a conflicting same-QP request; Retire
+  // re-admits parked tasks as their blockers complete.
+  void Track(LaneTask task);
+  // Hands a cleared task to its executor: the lane pool, else BeginExecute
+  // with the synchronous fallback for declined requests. `promoted` marks a
+  // task released by a retirement, which must never wait for lane space.
+  void Issue(const LaneTask& task, bool promoted);
+  // Removes a retired request from the tracker and issues every parked
+  // request the retirement unblocked (FIFO, skipping none that are still
+  // conflicted).
+  void Retire(const LaneTask& task);
   void DispatcherLoop();
 
   const IoQueueConfig queue_config_;
@@ -296,29 +298,28 @@ class QueuedDevice : public Device {
   fdp::CondVar idle_cv_;  // An execution finished.
   std::atomic<uint32_t> queued_total_{0};
   std::atomic<bool> dispatcher_idle_{false};  // Set under mu_ around the wait.
-  // Executions in progress (dispatcher + inline SyncIo).
+  // Requests popped and not yet completed (executing or parked), plus
+  // inline SyncIo executions.
   uint32_t active_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
-  bool stopped_ GUARDED_BY(mu_) = false;
 
   // Completions published but not yet announced through the completion
   // hook; flushed by whichever completion reaches the batch size or leaves
-  // the pipeline idle (see IoQueueConfig::completion_batch).
+  // the pipeline idle (see kCompletionBatch in queued_device.cc).
   std::atomic<uint32_t> unhooked_completions_{0};
 
   // Arbitration cursor; touched only by the dispatcher thread.
   uint32_t arb_qp_ = 0;
   uint32_t arb_credit_ = 0;
 
-  // Async-backend conflict tracker (BeginExecute path only; empty lists on
-  // synchronous backends). Guarded by async_mu_; never held across a
-  // BeginExecute/Execute call.
-  mutable fdp::Mutex async_mu_{lock_rank::Make(lock_rank::kDeviceAsync), "device_async"};
-  std::vector<AsyncQp> async_ GUARDED_BY(async_mu_);
+  // The conflict tracker, one QpTracker per queue pair (empty on the inline
+  // path). Never held across an Issue/Execute call.
+  mutable fdp::Mutex tracker_mu_{lock_rank::Make(lock_rank::kDeviceTracker), "device_tracker"};
+  std::vector<QpTracker> trackers_ GUARDED_BY(tracker_mu_);
 
-  // Parallel execution lanes (null when exec_lanes == 0: the dispatcher
-  // executes inline). Stopped by StopQueue() after the dispatcher joins, so
-  // lane workers never call into a partially-destroyed derived class.
+  // The lane pool (null when exec_lanes == 0). Stopped by StopQueue() once
+  // nothing is active, so lane workers never call into a
+  // partially-destroyed derived class.
   std::unique_ptr<ExecLaneEngine> lanes_;
 
   std::thread dispatcher_;

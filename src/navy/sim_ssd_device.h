@@ -10,8 +10,8 @@
 // across the queues and executes inline (exec_lanes = 0, per-QP submission
 // order) or fans popped requests out to die-affine execution lanes
 // (exec_lanes > 0; the SimulatedSsd serializes FTL work internally but
-// overlaps payload copies, and the conflict tracker keeps overlapping
-// same-QP requests in submission order).
+// overlaps payload copies, and QueuedDevice's conflict tracker parks
+// overlapping same-QP requests until their predecessors retire).
 #ifndef SRC_NAVY_SIM_SSD_DEVICE_H_
 #define SRC_NAVY_SIM_SSD_DEVICE_H_
 

@@ -27,6 +27,8 @@ constexpr uint64_t kShutdownUserData = ~0ull;
 // one-off aligned allocation and the plain opcodes.
 constexpr uint64_t kRegisteredBufBytes = 256 * 1024;
 constexpr uint32_t kRegisteredBufCount = 32;
+// Workers in the thread-pool fallback.
+constexpr uint32_t kFallbackWorkers = 4;
 
 uint32_t RoundUpPow2(uint32_t v) {
   uint32_t p = 1;
@@ -104,19 +106,22 @@ UringFileDevice::UringFileDevice(const Options& options, const IoQueueConfig& qu
   if (!backing_.ok()) {
     return;
   }
-  uint32_t depth = options.ring_depth != 0
-                       ? options.ring_depth
-                       : queue_config.sq_depth * std::max(1u, queue_config.num_queue_pairs);
-  depth = RoundUpPow2(std::min<uint32_t>(1024, std::max<uint32_t>(8, depth)));
+  const IoQueueConfig& queue = this->queue_config();
+  const uint64_t slots = static_cast<uint64_t>(queue.sq_depth) * queue.num_queue_pairs;
+  const uint32_t depth =
+      RoundUpPow2(static_cast<uint32_t>(std::min<uint64_t>(1024, std::max<uint64_t>(8, slots))));
   if (options.prefer_uring && KernelSupportsIoUring() && SetupRing(depth)) {
     reaper_ = std::thread([this] { ReaperLoop(); });
     return;
   }
-  const uint32_t workers = std::max<uint32_t>(1, options.fallback_threads);
-  pool_.reserve(workers);
-  for (uint32_t i = 0; i < workers; ++i) {
-    pool_.emplace_back([this] { PoolLoop(); });
-  }
+  // The tracker has already cleared every task BeginExecute receives, so the
+  // pool only executes; its queues are unbounded because BeginExecute must
+  // not block. The span is recorded from the task's issue_ns at completion,
+  // hence ExecuteBlocking rather than a traced execute.
+  pool_ = std::make_unique<ExecLaneEngine>(
+      kFallbackWorkers, backing_.page_size, /*lane_queue_depth=*/0,
+      [this](const IoRequest& request) { return ExecuteBlocking(request); },
+      [this](const LaneTask& task, const IoResult& result) { CompleteLaneTask(task, result); });
 }
 
 UringFileDevice::~UringFileDevice() {
@@ -124,6 +129,7 @@ UringFileDevice::~UringFileDevice() {
   // neither engine has an outstanding request and nothing can call back into
   // this object.
   StopQueue();
+  pool_.reset();
 #ifdef FDPCACHE_HAVE_URING
   if (ring_fd_ >= 0) {
     // Wake the reaper with a NOP it recognizes as the shutdown signal.
@@ -146,18 +152,6 @@ UringFileDevice::~UringFileDevice() {
     TeardownRing();
   }
 #endif
-  {
-    fdp::MutexLock lock(&pool_mu_);
-    pool_stop_ = true;
-  }
-  pool_cv_.NotifyAll();
-  for (std::thread& worker : pool_) {
-    worker.join();
-  }
-}
-
-uint64_t UringFileDevice::sync_fallbacks() const {
-  return sync_fallbacks_.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +167,6 @@ bool UringFileDevice::SetupRing(uint32_t depth) {
   if (ring_fd_ < 0) {
     return false;
   }
-  ring_features_ = params.features;
   ring_entries_ = params.sq_entries;
 
   size_t sq_len = params.sq_off.array + params.sq_entries * sizeof(unsigned);
@@ -378,7 +371,6 @@ void UringFileDevice::ReaperLoop() {
           start_ns = op.start_ns;
           op.bounce = nullptr;
           op.fixed_buf = -1;
-          op.in_use = false;
           op_free_.push_back(static_cast<uint32_t>(user_data));
         }
         IoResult result;
@@ -421,11 +413,9 @@ void UringFileDevice::ReaperLoop() {}
 #endif  // FDPCACHE_HAVE_URING
 
 bool UringFileDevice::BeginExecute(const LaneTask& task) {
-  if (!backing_.ok()) {
-    return false;
-  }
-  if (ring_fd_ < 0) {
-    return PoolBegin(task);
+  if (pool_ != nullptr) {
+    pool_->Dispatch(task, /*promoted=*/false);
+    return true;
   }
 #ifdef FDPCACHE_HAVE_URING
   const IoRequest& request = task.request;
@@ -443,7 +433,6 @@ bool UringFileDevice::BeginExecute(const LaneTask& task) {
                                             : request.out;
   fdp::MutexLock lock(&submit_mu_);
   if (op_free_.empty()) {
-    sync_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   const uint32_t slot = op_free_.back();
@@ -461,7 +450,6 @@ bool UringFileDevice::BeginExecute(const LaneTask& task) {
     } else if (posix_memalign(&op.bounce, backing_.page_size, request.size) != 0) {
       op.bounce = nullptr;
       op_free_.push_back(slot);
-      sync_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     if (request.op == IoOp::kWrite) {
@@ -471,7 +459,6 @@ bool UringFileDevice::BeginExecute(const LaneTask& task) {
   }
   op.task = task;
   op.start_ns = FileWallNowNs();
-  op.in_use = true;
   if (!SubmitSqe(slot, task, buffer)) {
     if (op.fixed_buf >= 0) {
       reg_free_.push_back(op.fixed_buf);
@@ -480,63 +467,13 @@ bool UringFileDevice::BeginExecute(const LaneTask& task) {
     }
     op.bounce = nullptr;
     op.fixed_buf = -1;
-    op.in_use = false;
     op_free_.push_back(slot);
-    sync_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   return true;
 #else
   return false;
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// thread-pool fallback engine
-// ---------------------------------------------------------------------------
-
-bool UringFileDevice::PoolBegin(const LaneTask& task) {
-  {
-    fdp::MutexLock lock(&pool_mu_);
-    if (pool_stop_ || pool_.empty()) {
-      return false;
-    }
-    pool_queue_.push_back(task);
-  }
-  pool_cv_.NotifyOne();
-  return true;
-}
-
-void UringFileDevice::PoolLoop() {
-  for (;;) {
-    LaneTask task;
-    {
-      fdp::MutexLock lock(&pool_mu_);
-      while (!pool_stop_ && pool_queue_.empty()) {
-        pool_cv_.Wait(&pool_mu_);
-      }
-      if (pool_queue_.empty()) {
-        return;  // pool_stop_ with nothing left.
-      }
-      task = std::move(pool_queue_.front());
-      pool_queue_.pop_front();
-    }
-    IoResult result;
-    switch (task.request.op) {
-      case IoOp::kWrite:
-        result = BackingWrite(backing_, task.request.offset, task.request.data,
-                              task.request.size);
-        break;
-      case IoOp::kRead:
-        result = BackingRead(backing_, task.request.offset, task.request.out,
-                             task.request.size);
-        break;
-      case IoOp::kTrim:
-        result = BackingTrim(backing_, task.request.offset, task.request.size);
-        break;
-    }
-    CompleteLaneTask(task, result);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,15 +6,20 @@
 // Device::SetCompletionHook / CompletionToken machinery the cache-tier async
 // ops and the ShardedCache poller park on fires exactly as it does on the
 // simulator. The per-QP overlap-ordering guarantee is enforced upstream by
-// QueuedDevice's async conflict tracker (see queued_device.h).
+// QueuedDevice's conflict tracker (see queued_device.h).
+//
+// The ring is sized from the queue config (sq_depth * num_queue_pairs,
+// rounded up to a power of two within [8, 1024]).
 //
 // io_uring is driven through raw syscalls (io_uring_setup/enter/register +
 // mmapped rings) — no liburing dependency. When the kernel lacks io_uring
 // (ENOSYS/EPERM, e.g. seccomp) or Options::prefer_uring is false, the device
 // degrades to a positioned-pread/pwrite THREAD-POOL fallback with the exact
 // same asynchronous contract: submitters still never block on the actual
-// I/O, completions still arrive from a worker thread. `using_uring()` says
-// which engine is live.
+// I/O, completions still arrive from a worker thread. The pool is the same
+// ExecLaneEngine that runs QueuedDevice's lanes (src/navy/exec_lanes.h):
+// four workers, striped by the backing page size so sequential page I/O
+// spreads across them. `using_uring()` says which engine is live.
 //
 // O_DIRECT: when the backing negotiated O_DIRECT, every SQE points at a
 // page-aligned op-owned buffer — a slot from a pre-REGISTERED buffer pool
@@ -27,8 +32,6 @@
 #ifndef SRC_NAVY_URING_FILE_DEVICE_H_
 #define SRC_NAVY_URING_FILE_DEVICE_H_
 
-#include <atomic>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -44,15 +47,9 @@ class UringFileDevice final : public QueuedDevice {
  public:
   struct Options {
     FileBackingOptions backing;
-    // SQ/CQ depth of the kernel ring (rounded up to a power of two,
-    // clamped to [8, 1024]). 0 sizes it from the queue config
-    // (sq_depth * num_queue_pairs).
-    uint32_t ring_depth = 0;
     // false forces the thread-pool fallback even on a uring-capable kernel
     // (used by the uring-vs-fallback equivalence tests).
     bool prefer_uring = true;
-    // Workers in the fallback pool.
-    uint32_t fallback_threads = 4;
   };
 
   // Convenience: create-if-missing regular file, buffered IO.
@@ -74,10 +71,6 @@ class UringFileDevice final : public QueuedDevice {
   bool using_uring() const { return ring_fd_ >= 0; }
   // "uring" or "thread-pool" — for report headers.
   const char* engine_name() const { return using_uring() ? "uring" : "thread-pool"; }
-  // Requests submitted through BeginExecute that could not be given to the
-  // engine (ring momentarily full / no op slot) and were executed
-  // synchronously instead. Diagnostic; monotonic over the device lifetime.
-  uint64_t sync_fallbacks() const;
 
   // True when this kernel can set up an io_uring instance at all (probed
   // once per process).
@@ -93,9 +86,9 @@ class UringFileDevice final : public QueuedDevice {
   bool SupportsAsyncExecute() const override { return backing_.ok(); }
   bool BeginExecute(const LaneTask& task) override;
 
-  // Blocking ops: the SyncIo idle fast path and the synchronous fallback for
-  // declined BeginExecute calls (trims on the uring engine, engine
-  // momentarily out of slots).
+  // Blocking ops: the SyncIo idle fast path, the thread-pool fallback's
+  // workers, and the synchronous fallback for declined BeginExecute calls
+  // (trims on the uring engine, engine momentarily out of slots).
   IoResult ExecuteWrite(uint64_t offset, const void* data, uint64_t size,
                         PlacementHandle handle) override;
   IoResult ExecuteRead(uint64_t offset, void* out, uint64_t size) override;
@@ -107,7 +100,6 @@ class UringFileDevice final : public QueuedDevice {
     void* bounce = nullptr;     // Op-owned aligned buffer (direct IO), or null.
     int32_t fixed_buf = -1;     // Registered-pool slot backing `bounce`, or -1.
     uint64_t start_ns = 0;
-    bool in_use = false;
   };
 
   bool SetupRing(uint32_t depth);
@@ -116,14 +108,11 @@ class UringFileDevice final : public QueuedDevice {
   bool SubmitSqe(uint32_t slot, const LaneTask& task, void* buffer)
       REQUIRES(submit_mu_);
   void ReaperLoop();
-  void PoolLoop();
-  bool PoolBegin(const LaneTask& task);
 
   FileBacking backing_;
   // --- uring engine ---
   int ring_fd_ = -1;
   uint32_t ring_entries_ = 0;
-  uint32_t ring_features_ = 0;
   bool fixed_file_ = false;       // backing fd registered; SQEs use index 0.
   void* sq_ptr_ = nullptr;        // SQ ring mmap (CQ too under SINGLE_MMAP).
   size_t sq_map_len_ = 0;
@@ -154,15 +143,10 @@ class UringFileDevice final : public QueuedDevice {
   fdp::Mutex submit_mu_{lock_rank::Make(lock_rank::kUringSubmit), "uring_submit"};
   std::vector<UringOp> ops_ GUARDED_BY(submit_mu_);
   std::vector<uint32_t> op_free_ GUARDED_BY(submit_mu_);
-  std::atomic<uint64_t> sync_fallbacks_{0};
   std::thread reaper_;
 
-  // --- thread-pool fallback engine ---
-  fdp::Mutex pool_mu_{lock_rank::Make(lock_rank::kUringPool), "uring_pool"};
-  fdp::CondVar pool_cv_;
-  std::deque<LaneTask> pool_queue_ GUARDED_BY(pool_mu_);
-  bool pool_stop_ GUARDED_BY(pool_mu_) = false;
-  std::vector<std::thread> pool_;
+  // --- thread-pool fallback engine (null while the ring is live) ---
+  std::unique_ptr<ExecLaneEngine> pool_;
 };
 
 }  // namespace fdpcache

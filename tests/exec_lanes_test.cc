@@ -1,15 +1,19 @@
-// Execution-lane engine: parallel lanes behind the queue-pair arbiter with
-// die-affine routing and the ordering-aware conflict tracker. Covers
+// Execution lanes: the lane pool behind the queue-pair arbiter with
+// die-affine routing, fed by QueuedDevice's conflict tracker. Covers
 // overlapping write-write and trim-vs-write chains on one queue pair,
 // disjoint requests genuinely executing in parallel, a 4-submitter x 4-lane
 // stress with Drain() racing Submit() (run under TSan in CI), the
-// lanes=0-is-bit-identical-to-the-inline-path check, and lane stats
-// surfacing (dispatch sums, busy time, ResetStats).
+// lanes=0-is-bit-identical-to-the-inline-path check, lane stats surfacing
+// (dispatch sums, busy time, ResetStats, conflict counters), and the two
+// teardown/promotion hazards of a tracker that feeds a bounded pool:
+// a promotion into its own full lane, and a teardown with work still parked.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -45,7 +49,14 @@ class GatedLaneDevice final : public QueuedDevice {
  public:
   explicit GatedLaneDevice(const IoQueueConfig& config) : QueuedDevice(config) {}
   ~GatedLaneDevice() override {
-    OpenGate();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      tearing_down_ = true;
+    }
+    teardown_cv_.notify_all();
+    if (!keep_gate_closed_on_destroy_) {
+      OpenGate();
+    }
     StopQueue();
   }
 
@@ -53,12 +64,26 @@ class GatedLaneDevice final : public QueuedDevice {
     std::lock_guard<std::mutex> lock(mu_);
     gate_open_ = false;
   }
+  // Notifies under the lock: a teardown test opens the gate from another
+  // thread while the destructor runs, and the condition variable must not
+  // be touched after the last parked execution can leave.
   void OpenGate() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      gate_open_ = true;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    gate_open_ = true;
     gate_cv_.notify_all();
+  }
+  // Teardown tests: the destructor leaves the gate as it is, announces that
+  // it has begun, and appends every finished offset to `log`, which outlives
+  // the device.
+  void KeepGateClosedOnDestroy(std::vector<uint64_t>* log) {
+    std::lock_guard<std::mutex> lock(mu_);
+    keep_gate_closed_on_destroy_ = true;
+    finish_log_ = log;
+  }
+  bool WaitUntilTearingDown() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return teardown_cv_.wait_for(lock, std::chrono::seconds(10),
+                                 [this] { return tearing_down_; });
   }
   // Waits until at least `n` executions are parked at the closed gate.
   bool WaitUntilParked(uint32_t n) {
@@ -106,13 +131,20 @@ class GatedLaneDevice final : public QueuedDevice {
     --parked_;
     parked_offsets_.erase(offset);
     finished_.push_back(offset);
+    if (finish_log_ != nullptr) {
+      finish_log_->push_back(offset);
+    }
     return IoResult{true, 1000};
   }
 
   mutable std::mutex mu_;
   std::condition_variable gate_cv_;
   std::condition_variable parked_cv_;
+  std::condition_variable teardown_cv_;
   bool gate_open_ = true;
+  bool tearing_down_ = false;
+  bool keep_gate_closed_on_destroy_ = false;
+  std::vector<uint64_t>* finish_log_ = nullptr;
   uint32_t parked_ = 0;
   std::multiset<uint64_t> parked_offsets_;
   std::vector<uint64_t> started_;
@@ -132,6 +164,75 @@ const uint8_t kZeros[2 * kStripe] = {0};
 
 IoRequest WriteAt(uint64_t offset, uint64_t size, uint32_t qp = 0) {
   return IoRequest::MakeWrite(offset, kZeros, size, kNoPlacement, qp);
+}
+
+// Aborts the test binary when its scope outlives `seconds` of wall time, so
+// a deadlock regression fails the run instead of hanging it.
+class Deadline {
+ public:
+  Deadline(const char* what, int seconds) {
+    watchdog_ = std::thread([this, what, seconds] { Watch(what, seconds); });
+  }
+  ~Deadline() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    watchdog_.join();
+  }
+
+ private:
+  void Watch(const char* what, int seconds) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!cv_.wait_for(lock, std::chrono::seconds(seconds), [this] { return done_; })) {
+      std::fprintf(stderr, "deadline of %d s exceeded: %s\n", seconds, what);
+      std::abort();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread watchdog_;
+};
+
+// Spins (with a deadline) until `pred` holds.
+template <typename Pred>
+bool Eventually(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+uint64_t SumConflictDefers(const Device& device) {
+  uint64_t sum = 0;
+  for (const QueuePairStats& qp : device.PerQueuePairStats()) {
+    sum += qp.conflict_defers;
+  }
+  return sum;
+}
+
+uint64_t SumConflictWaits(const Device& device) {
+  uint64_t sum = 0;
+  for (const LaneStats& lane : device.PerLaneStats()) {
+    sum += lane.conflict_waits;
+  }
+  return sum;
+}
+
+size_t FinishPosition(const std::vector<uint64_t>& finish, uint64_t offset) {
+  for (size_t i = 0; i < finish.size(); ++i) {
+    if (finish[i] == offset) {
+      return i;
+    }
+  }
+  return finish.size();
 }
 
 // --- Conflict-tracker semantics (gated backend) ------------------------------
@@ -486,7 +587,7 @@ TEST_F(ExecLaneSimDeviceTest, LaneStatsSurfaceAndReset) {
   EXPECT_EQ(lanes[0].dispatches, 16u);
   EXPECT_EQ(lanes[1].dispatches, 16u);
   for (const LaneStats& lane : lanes) {
-    EXPECT_GT(lane.busy_ns, 0u);  // DieScheduler accumulated execution time.
+    EXPECT_GT(lane.busy_ns, 0u);  // Summed device-model latency.
     EXPECT_EQ(lane.queue_depth.Count(), lane.dispatches);
     EXPECT_EQ(lane.conflict_waits, 0u);  // All offsets disjoint.
   }
@@ -506,31 +607,95 @@ TEST_F(ExecLaneSimDeviceTest, LaneStatsSurfaceAndReset) {
   }
 }
 
-TEST_F(ExecLaneSimDeviceTest, ConflictWaitCounterFiresOnOverlap) {
-  IoQueueConfig queue = LaneConfig(4);
-  queue.lane_stripe_bytes = kPage;
-  Rebuild(queue);
+// --- Tracker counters and hazards (gated backend) ----------------------------
 
-  const std::vector<uint8_t> a(2 * kPage, 0x11);
-  // Back-to-back overlapping writes on one QP: the second chains behind the
-  // first and the tracker records the wait.
-  const CompletionToken t1 =
-      device_->Submit(IoRequest::MakeWrite(0, a.data(), 2 * kPage, kNoPlacement, 0));
-  const CompletionToken t2 =
-      device_->Submit(IoRequest::MakeWrite(kPage, a.data(), kPage, kNoPlacement, 0));
-  EXPECT_TRUE(device_->Wait(t1).ok);
-  EXPECT_TRUE(device_->Wait(t2).ok);
-  device_->Drain();
+// The tracker parks an overlapping write while its predecessor is held at
+// the gate; both counters record that one deferral, and the parked write
+// retires after the one it waited on.
+TEST(ExecLaneConflictTest, ConflictWaitCounterFiresOnOverlap) {
+  GatedLaneDevice device(LaneConfig(4));
+  device.CloseGate();
+  const CompletionToken t1 = device.Submit(WriteAt(0, 2 * kStripe));
+  ASSERT_TRUE(device.WaitUntilParked(1));
+  const CompletionToken t2 = device.Submit(WriteAt(kStripe, kStripe));
+  ASSERT_TRUE(Eventually([&device] { return SumConflictDefers(device) == 1; }));
+  EXPECT_FALSE(device.HasStarted(kStripe));
 
-  uint64_t waits = 0;
-  for (const LaneStats& lane : device_->PerLaneStats()) {
-    waits += lane.conflict_waits;
-  }
-  // The overlap is only visible to the tracker when the dispatcher popped
-  // the second write before the first retired; with the writes submitted
-  // back-to-back that is the overwhelmingly common schedule, but a fully
-  // sequential schedule is legal too.
-  EXPECT_LE(waits, 1u);
+  device.OpenGate();
+  EXPECT_TRUE(device.Wait(t1).ok);
+  EXPECT_TRUE(device.Wait(t2).ok);
+  device.Drain();
+
+  EXPECT_EQ(SumConflictDefers(device), 1u);
+  EXPECT_EQ(SumConflictWaits(device), 1u);
+  const std::vector<uint64_t> finish = device.FinishOrder();
+  ASSERT_EQ(finish.size(), 2u);
+  EXPECT_LT(FinishPosition(finish, 0), FinishPosition(finish, kStripe));
+}
+
+// A retirement promotes parked work from the completion context, here the
+// worker of the very lane the promoted write routes to, while that lane's
+// queue is full. The promotion must not wait for space its own worker would
+// have to free.
+TEST(ExecLaneConflictTest, PromotionIntoItsOwnFullLaneCompletes) {
+  Deadline deadline("promotion into a full lane", 30);
+  IoQueueConfig config = LaneConfig(1);
+  config.sq_depth = 1;  // Also the lane queue bound.
+  GatedLaneDevice device(config);
+  device.CloseGate();
+
+  const uint64_t w1 = 0;
+  const uint64_t w2 = kPage;  // Overlaps W1.
+  const uint64_t w3 = 4 * kStripe;
+  const CompletionToken t1 = device.Submit(WriteAt(w1, 2 * kPage));
+  ASSERT_TRUE(device.WaitUntilParked(1));
+  const CompletionToken t2 = device.Submit(WriteAt(w2, kPage));
+  ASSERT_TRUE(Eventually([&device] { return SumConflictDefers(device) == 1; }));
+  const CompletionToken t3 = device.Submit(WriteAt(w3, kPage));
+  // W3 sits in the single lane's queue behind the parked W1: the lane is full.
+  ASSERT_TRUE(Eventually([&device] { return device.PerLaneStats()[0].dispatches == 2; }));
+
+  device.OpenGate();
+  EXPECT_TRUE(device.Wait(t1).ok);
+  EXPECT_TRUE(device.Wait(t2).ok);
+  EXPECT_TRUE(device.Wait(t3).ok);
+  device.Drain();
+  const std::vector<uint64_t> finish = device.FinishOrder();
+  ASSERT_EQ(finish.size(), 3u);
+  EXPECT_LT(FinishPosition(finish, w1), FinishPosition(finish, w2));
+  EXPECT_EQ(SumConflictWaits(device), 1u);
+}
+
+// Teardown with a write parked behind a gated one: the gate opens only after
+// the destructor has begun, so the retirement promotes the parked write into
+// another, idle lane during StopQueue. Every lane must still be running then.
+TEST(ExecLaneConflictTest, TeardownRunsWorkParkedBehindAGatedRequest) {
+  Deadline deadline("teardown with parked work", 30);
+  std::vector<uint64_t> finished;
+  auto device = std::make_unique<GatedLaneDevice>(LaneConfig(2));
+  device->CloseGate();
+
+  // W1 spans stripes 0+1 and routes to lane 0; W2 overlaps stripe 1 and
+  // routes to lane 1, whose worker has nothing else to do.
+  device->Submit(WriteAt(0, 2 * kStripe));
+  ASSERT_TRUE(device->WaitUntilParked(1));
+  device->Submit(WriteAt(kStripe, kStripe));
+  ASSERT_TRUE(Eventually([&device] { return SumConflictDefers(*device) == 1; }));
+
+  device->KeepGateClosedOnDestroy(&finished);
+  GatedLaneDevice* raw = device.get();
+  std::thread opener([raw] {
+    ASSERT_TRUE(raw->WaitUntilTearingDown());
+    // Let StopQueue get past the dispatcher join before the gate opens.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    raw->OpenGate();
+  });
+  device.reset();
+  opener.join();
+
+  ASSERT_EQ(finished.size(), 2u);
+  EXPECT_EQ(finished[0], 0u);
+  EXPECT_EQ(finished[1], kStripe);
 }
 
 }  // namespace

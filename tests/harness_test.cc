@@ -190,8 +190,8 @@ TEST(HarnessTest, ExecLanesKnobKeepsResultsHealthyAndSurfacesLaneAndDieStats) {
   EXPECT_LT(report.final_dlwa, 1.25);
   EXPECT_EQ(report.verify_failures, 0u);
 
-  // Both lanes carried work and accumulated DieScheduler busy time; every
-  // arbitrated request went through exactly one lane.
+  // Both lanes carried work and accumulated busy time; every arbitrated
+  // request went through exactly one lane.
   ASSERT_EQ(report.device_lanes.size(), 2u);
   uint64_t lane_dispatches = 0;
   for (const LaneStats& lane : report.device_lanes) {

@@ -48,7 +48,7 @@ TEST(LockRankTableTest, CompositeRankEncoding) {
   EXPECT_EQ(lock_rank::MajorOf(rank), static_cast<uint32_t>(lock_rank::kLane));
   EXPECT_EQ(lock_rank::MinorOf(rank), 3u);
   // Majors dominate minors: lane 65535 still orders before the next major.
-  EXPECT_LT(Make(lock_rank::kLane, 0xffff), Make(lock_rank::kLaneLatch, 0));
+  EXPECT_LT(Make(lock_rank::kLane, 0xffff), Make(lock_rank::kQueuePair, 0));
 }
 
 // --- Checker behaviour (debug builds only) ----------------------------------

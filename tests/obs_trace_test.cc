@@ -3,7 +3,8 @@
 // inside the request window), exact exclusive-interval attribution
 // (attributed + unattributed == end-to-end by construction), deterministic
 // 1-in-N sampling, chrome://tracing export, the ShardedCache shard-lock
-// stage, and the trace-on/off report-equality guarantee.
+// stage, the trace-on/off report-equality guarantee, and exactly one
+// device_execute span per request on every device executor.
 #include "src/obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "src/harness/concurrent_replay.h"
 #include "src/harness/experiment.h"
 #include "src/navy/sim_ssd_device.h"
+#include "src/navy/uring_file_device.h"
 #include "src/ssd/ssd.h"
 
 namespace fdpcache {
@@ -286,6 +288,127 @@ TEST(TraceReportEqualityTest, VirtualTimeMetricsIdenticalTraceOnAndOff) {
   EXPECT_GT(with_trace.trace.requests, 0u);
   EXPECT_EQ(with_trace.trace.attributed_ns + with_trace.trace.unattributed_ns,
             with_trace.trace.total_request_ns);
+}
+
+// --- device_execute on every executor ----------------------------------------
+
+constexpr uint64_t kSpanPage = 4096;
+constexpr uint32_t kSpanRequests = 64;
+constexpr uint64_t kFirstSpanTraceId = 1000;
+
+// A QueuedDevice whose blocking ops succeed at once. With `async` it runs
+// the BeginExecute path: writes complete inside BeginExecute, reads are
+// declined into the synchronous fallback.
+class InstantDevice final : public QueuedDevice {
+ public:
+  InstantDevice(const IoQueueConfig& config, bool async) : QueuedDevice(config), async_(async) {}
+  ~InstantDevice() override { StopQueue(); }
+
+  uint64_t size_bytes() const override { return 1ull << 20; }
+  uint64_t page_size() const override { return kSpanPage; }
+
+ protected:
+  IoResult ExecuteWrite(uint64_t, const void*, uint64_t, PlacementHandle) override {
+    return IoResult{true, 1};
+  }
+  IoResult ExecuteRead(uint64_t, void*, uint64_t) override { return IoResult{true, 1}; }
+  IoResult ExecuteTrim(uint64_t, uint64_t) override { return IoResult{true, 1}; }
+  bool SupportsAsyncExecute() const override { return async_; }
+  bool BeginExecute(const LaneTask& task) override {
+    if (task.request.op == IoOp::kRead) {
+      return false;
+    }
+    CompleteLaneTask(task, IoResult{true, 1});
+    return true;
+  }
+
+ private:
+  const bool async_;
+};
+
+// Submits kSpanRequests traced requests (every fourth a read) cycling over 16
+// pages, so later requests overlap earlier ones still in flight and pass
+// through the conflict tracker's park/promote path, then expects exactly one
+// device_execute span per request.
+void ExpectOneDeviceExecuteSpanPerRequest(Device& device) {
+  std::vector<std::vector<uint8_t>> buffers(kSpanRequests, std::vector<uint8_t>(kSpanPage, 0x3c));
+  TracingSession session(1);
+  std::vector<CompletionToken> tokens;
+  for (uint32_t i = 0; i < kSpanRequests; ++i) {
+    const uint64_t offset = (i % 16) * kSpanPage;
+    IoRequest request = IoRequest::MakeWrite(offset, buffers[i].data(), kSpanPage, kNoPlacement);
+    if (i % 4 == 3) {
+      request = IoRequest::MakeRead(offset, buffers[i].data(), kSpanPage);
+    }
+    request.trace_id = kFirstSpanTraceId + i;
+    tokens.push_back(device.Submit(request));
+  }
+  for (const CompletionToken token : tokens) {
+    EXPECT_TRUE(device.Wait(token).ok);
+  }
+  device.Drain();
+  std::unordered_map<uint64_t, uint32_t> spans;
+  for (const obs::TraceEvent& event : session.Finish()) {
+    if (event.stage == obs::TraceStage::kDeviceExecute) {
+      ++spans[event.trace_id];
+    }
+  }
+  EXPECT_EQ(spans.size(), kSpanRequests);
+  for (uint32_t i = 0; i < kSpanRequests; ++i) {
+    EXPECT_EQ(spans[kFirstSpanTraceId + i], 1u) << "request " << i;
+  }
+}
+
+std::unique_ptr<UringFileDevice> MakeSpanFileDevice(const std::string& path, bool uring) {
+  std::remove(path.c_str());
+  UringFileDevice::Options options;
+  options.backing.path = path;
+  options.backing.size_bytes = 1 << 20;
+  options.backing.page_size = kSpanPage;
+  options.prefer_uring = uring;
+  auto device = std::make_unique<UringFileDevice>(options, IoQueueConfig{});
+  EXPECT_TRUE(device->ok()) << device->error();
+  EXPECT_EQ(device->using_uring(), uring);
+  return device;
+}
+
+TEST(DeviceExecuteSpanTest, InlineDispatcher) {
+  InstantDevice device(IoQueueConfig{}, /*async=*/false);
+  ExpectOneDeviceExecuteSpanPerRequest(device);
+}
+
+TEST(DeviceExecuteSpanTest, FourLanes) {
+  IoQueueConfig config;
+  config.exec_lanes = 4;
+  config.lane_stripe_bytes = kSpanPage;
+  InstantDevice device(config, /*async=*/false);
+  ExpectOneDeviceExecuteSpanPerRequest(device);
+}
+
+TEST(DeviceExecuteSpanTest, BeginExecuteBackend) {
+  InstantDevice device(IoQueueConfig{}, /*async=*/true);
+  ExpectOneDeviceExecuteSpanPerRequest(device);
+}
+
+TEST(DeviceExecuteSpanTest, UringThreadPoolFallback) {
+  const std::string path = testing::TempDir() + "/obs_span_pool.bin";
+  {
+    const std::unique_ptr<UringFileDevice> device = MakeSpanFileDevice(path, /*uring=*/false);
+    ExpectOneDeviceExecuteSpanPerRequest(*device);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DeviceExecuteSpanTest, UringRing) {
+  if (!UringFileDevice::KernelSupportsIoUring()) {
+    GTEST_SKIP() << "io_uring unavailable: " << UringFileDevice::KernelIoUringFeatureString();
+  }
+  const std::string path = testing::TempDir() + "/obs_span_ring.bin";
+  {
+    const std::unique_ptr<UringFileDevice> device = MakeSpanFileDevice(path, /*uring=*/true);
+    ExpectOneDeviceExecuteSpanPerRequest(*device);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TraceDisabledTest, NoSpansWhenTracingOff) {
