@@ -1,7 +1,7 @@
 // Multi-tenant flash cache (paper §6.7): two CacheLib instances share one
-// FDP SSD with no host overprovisioning. Each tenant gets its own namespace
-// partition and its own SOC/LOC reclaim unit handles from the shared
-// allocator, keeping all four write streams physically isolated.
+// FDP SSD with no host overprovisioning. Each tenant gets its own page-aligned
+// byte range of the one device and its own SOC/LOC reclaim unit handles from
+// the shared allocator, keeping all four write streams physically isolated.
 //
 // Usage: ./build/examples/multi_tenant
 #include <cstdio>

@@ -450,35 +450,4 @@ void ShardedCache::ResetStats() {
   }
 }
 
-void ShardedCache::RegisterMetrics(obs::MetricsRegistry& registry) {
-  registry.AddCollector([this](obs::MetricsRegistry& r) {
-    const ShardedCacheStats s = Stats();
-    r.Counter("fdpcache_cache_gets")->Set(s.gets);
-    r.Counter("fdpcache_cache_sets")->Set(s.sets);
-    r.Counter("fdpcache_cache_removes")->Set(s.removes);
-    r.Counter("fdpcache_cache_ram_hits")->Set(s.ram_hits);
-    r.Counter("fdpcache_cache_nvm_lookups")->Set(s.nvm_lookups);
-    r.Counter("fdpcache_cache_nvm_hits")->Set(s.nvm_hits);
-    r.Counter("fdpcache_cache_misses")->Set(s.misses);
-    r.Counter("fdpcache_cache_shard_lock_acquisitions")->Set(s.shard_lock_acquisitions);
-    r.Gauge("fdpcache_cache_pending_ops")->Set(static_cast<double>(s.TotalPendingOps()));
-    for (size_t i = 0; i < s.device_queue_pairs.size(); ++i) {
-      const QueuePairStats& qp = s.device_queue_pairs[i];
-      const std::string label = "{qp=\"" + std::to_string(i) + "\"}";
-      r.Counter("fdpcache_qp_reads" + label)->Set(qp.reads);
-      r.Counter("fdpcache_qp_writes" + label)->Set(qp.writes);
-      r.Counter("fdpcache_qp_dispatched" + label)->Set(qp.dispatched);
-      r.Counter("fdpcache_qp_admission_waits" + label)->Set(qp.admission_waits);
-      r.Counter("fdpcache_qp_conflict_defers" + label)->Set(qp.conflict_defers);
-    }
-    for (size_t i = 0; i < s.device_lanes.size(); ++i) {
-      const LaneStats& lane = s.device_lanes[i];
-      const std::string label = "{lane=\"" + std::to_string(i) + "\"}";
-      r.Counter("fdpcache_lane_dispatches" + label)->Set(lane.dispatches);
-      r.Counter("fdpcache_lane_conflict_waits" + label)->Set(lane.conflict_waits);
-      r.Counter("fdpcache_lane_busy_ns" + label)->Set(lane.busy_ns);
-    }
-  });
-}
-
 }  // namespace fdpcache

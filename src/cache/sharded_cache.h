@@ -46,7 +46,6 @@
 
 #include "src/cache/hybrid_cache.h"
 #include "src/common/thread_annotations.h"
-#include "src/obs/metrics.h"
 
 namespace fdpcache {
 
@@ -190,12 +189,6 @@ class ShardedCache {
 
   // Locks each shard in turn and zeroes both the shard stats and the mirrors.
   void ResetStats();
-
-  // Registers a collector that snapshots Stats() into `registry` at every
-  // exposition: cache counters, pending-op gauge, per-QP and per-lane device
-  // counters — the unified-registry integration point for this layer. The
-  // cache must outlive the registry's render calls.
-  void RegisterMetrics(obs::MetricsRegistry& registry);
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
 

@@ -10,9 +10,7 @@ Ftl::Ftl(const FtlConfig& config, FtlEventListener* listener)
     : config_(config),
       listener_(listener),
       media_(config.geometry, config.endurance),
-      logical_pages_(static_cast<uint64_t>(
-          std::floor(static_cast<double>(config.geometry.TotalPages()) *
-                     (1.0 - config.op_fraction)))),
+      logical_pages_(LogicalPages(config.geometry, config.op_fraction)),
       map_(logical_pages_, kUnmapped),
       rus_(config.geometry.num_superblocks),
       host_open_ru_(config.fdp.num_ruhs(), -1),
@@ -29,6 +27,11 @@ Ftl::Ftl(const FtlConfig& config, FtlEventListener* listener)
   for (uint32_t ru = config.geometry.num_superblocks; ru-- > 0;) {
     free_rus_.push_back(ru);
   }
+}
+
+uint64_t Ftl::LogicalPages(const NandGeometry& geometry, double op_fraction) {
+  return static_cast<uint64_t>(
+      std::floor(static_cast<double>(geometry.TotalPages()) * (1.0 - op_fraction)));
 }
 
 FtlStatus Ftl::ResolveRuh(DirectiveType dtype, uint16_t dspec, uint32_t* ruh_out) {

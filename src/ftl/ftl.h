@@ -132,6 +132,10 @@ class Ftl {
  public:
   explicit Ftl(const FtlConfig& config, FtlEventListener* listener = nullptr);
 
+  // Logical pages a device of this geometry exposes once `op_fraction` of its
+  // pages is held back as overprovisioning: floor(TotalPages * (1 - OP)).
+  static uint64_t LogicalPages(const NandGeometry& geometry, double op_fraction);
+
   // --- Host data path -------------------------------------------------------
 
   // Writes one logical page with a placement directive. `dtype` other than

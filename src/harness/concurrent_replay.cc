@@ -1,18 +1,10 @@
 #include "src/harness/concurrent_replay.h"
 
-#include <stdlib.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "src/common/hash.h"
 #include "src/common/thread_annotations.h"
-#include "src/navy/file_device.h"
-#include "src/navy/uring_file_device.h"
 
 namespace fdpcache {
 namespace {
@@ -224,150 +216,44 @@ ConcurrentReplayReport ConcurrentReplayDriver::Run() {
 }
 
 ShardedSimBackend::ShardedSimBackend(const ShardedBackendConfig& config) {
-  ShardedBackendConfig cfg = config;
-  // Same zero-shard clamp as ShardedCache, so the factories below are never
+  // Same zero-shard clamp as ShardedCache, so the factory below is never
   // called for a shard this backend did not provision.
-  cfg.num_shards = cfg.num_shards == 0 ? 1 : cfg.num_shards;
-  cfg.cache.navy.loc_inflight_regions = cfg.loc_inflight_regions;
-  cfg.cache.navy.soc_inflight_writes = cfg.soc_inflight_writes;
-  if (cfg.device_backend != DeviceBackend::kSim) {
-    if (cfg.topology == BackendTopology::kPerShardDevice) {
-      std::fprintf(stderr,
-                   "ShardedSimBackend: file backends require the shared-device topology\n");
-      std::abort();
-    }
-    // No placement on a plain file; the allocator hands out kNoPlacement.
-    cfg.cache.navy.use_placement_handles = false;
+  const uint32_t num_shards = config.num_shards == 0 ? 1 : config.num_shards;
+  const uint32_t num_stacks = config.topology == BackendTopology::kPerShardDevice ? num_shards : 1;
+  const uint32_t shards_per_stack = num_shards / num_stacks;
+  DeviceStackConfig stack;
+  stack.ssd = config.ssd;
+  stack.queue.sq_depth = config.queue_depth;
+  // One queue pair per shard, so every shard submits on its own SQ/CQ and
+  // the device arbitrates across them.
+  stack.queue.num_queue_pairs = shards_per_stack;
+  stack.queue.exec_lanes = config.exec_lanes;
+  stack.queue.lane_stripe_bytes = config.lane_stripe_bytes;
+  // Shards split the logical capacity evenly, rounded down to whole pages.
+  const uint64_t page = config.ssd.geometry.page_size_bytes;
+  stack.partitions = shards_per_stack;
+  stack.partition_bytes = LogicalCapacityBytes(config.ssd) / shards_per_stack / page * page;
+  for (uint32_t i = 0; i < num_stacks; ++i) {
+    stacks_.push_back(std::make_unique<DeviceStack>(stack));
   }
-  if (cfg.topology == BackendTopology::kSharedDevice) {
-    BuildShared(cfg);
-  } else {
-    BuildPerShard(cfg);
-  }
-}
 
-void ShardedSimBackend::BuildShared(const ShardedBackendConfig& config) {
-  auto stack = std::make_unique<ShardStack>();
-  IoQueueConfig queue;
-  queue.sq_depth = config.queue_depth;
-  // Auto topology: one queue pair per shard, so every shard submits on its
-  // own SQ/CQ and the device arbitrates across them.
-  queue.num_queue_pairs = config.queue_pairs == 0 ? config.num_shards : config.queue_pairs;
-  queue.arbitration = config.arbitration;
-  queue.wrr_weights = config.wrr_weights;
-  queue.read_priority = config.read_priority;
-  queue.exec_lanes = config.exec_lanes;
-  queue.lane_stripe_bytes = config.lane_stripe_bytes;
-  if (config.device_backend == DeviceBackend::kSim) {
-    stack->ssd = std::make_unique<SimulatedSsd>(config.ssd);
-    const auto nsid = stack->ssd->CreateNamespace(stack->ssd->logical_capacity_bytes());
-    if (!nsid.has_value()) {
-      std::fprintf(stderr, "ShardedSimBackend: shared SSD config yields no usable capacity\n");
-      std::abort();
-    }
-    stack->device = std::make_unique<SimSsdDevice>(stack->ssd.get(), *nsid, &stack->clock, queue);
-  } else {
-    // File/uring backend: one shared file (or block device) whose usable size
-    // matches what the simulated geometry would expose, so the per-shard
-    // partitions below are identical to a sim run's.
-    FileBackingOptions backing;
-    backing.path = config.device_path;
-    if (backing.path.empty()) {
-      char temp_template[] = "/tmp/fdpbench_sharded_XXXXXX";
-      const int fd = ::mkstemp(temp_template);
-      if (fd < 0) {
-        std::fprintf(stderr, "ShardedSimBackend: cannot create a temp backing file\n");
-        std::abort();
-      }
-      ::close(fd);
-      owned_temp_path_ = temp_template;
-      backing.path = owned_temp_path_;
-    }
-    const uint64_t logical_pages = static_cast<uint64_t>(
-        std::floor(static_cast<double>(config.ssd.geometry.TotalPages()) *
-                   (1.0 - config.ssd.op_fraction)));
-    backing.size_bytes = logical_pages * config.ssd.geometry.page_size_bytes;
-    backing.page_size = config.ssd.geometry.page_size_bytes;
-    backing.direct_io = config.device_direct_io;
-    if (config.device_backend == DeviceBackend::kFile) {
-      auto device = std::make_unique<FileDevice>(backing, queue);
-      if (!device->ok()) {
-        std::fprintf(stderr, "ShardedSimBackend: %s\n", device->error().c_str());
-        std::abort();
-      }
-      stack->device = std::move(device);
-    } else {
-      UringFileDevice::Options options;
-      options.backing = backing;
-      auto device = std::make_unique<UringFileDevice>(options, queue);
-      if (!device->ok()) {
-        std::fprintf(stderr, "ShardedSimBackend: %s\n", device->error().c_str());
-        std::abort();
-      }
-      stack->device = std::move(device);
-    }
-  }
-  stack->allocator = std::make_unique<PlacementHandleAllocator>(*stack->device);
-  stacks_.push_back(std::move(stack));
-
-  // Carve the namespace into page-aligned per-shard partitions; every shard
-  // runs its engine pair inside its own byte range of the ONE device, and
-  // draws its placement handles from the one shared allocator (so distinct
-  // shards land on distinct RUHs until the device's handle count wraps).
-  ShardStack& shared = *stacks_.front();
-  const uint64_t page = shared.device->page_size();
-  const uint64_t shard_bytes =
-      shared.device->size_bytes() / config.num_shards / page * page;
-  if (shard_bytes == 0) {
-    std::fprintf(stderr, "ShardedSimBackend: shared SSD too small for %u shards\n",
-                 config.num_shards);
-    std::abort();
-  }
-  const uint32_t num_qps = shared.device->num_queue_pairs();
-  cache_ = std::make_unique<ShardedCache>(config.num_shards, [&](uint32_t shard_index) {
+  // Shard i runs its engine pair inside partition i / num_stacks of stack
+  // i % num_stacks, on that partition's queue pair, and draws its placement
+  // handles from the stack's one allocator (so distinct shards land on
+  // distinct RUHs until the device's handle count wraps).
+  cache_ = std::make_unique<ShardedCache>(num_shards, [&](uint32_t shard_index) {
+    DeviceStack& owner = *stacks_[shard_index % num_stacks];
+    const uint32_t partition = shard_index / num_stacks;
     HybridCacheConfig shard_config = config.cache;
-    shard_config.navy.base_offset = shard_index * shard_bytes;
-    shard_config.navy.size_bytes = shard_bytes;
-    // Shard -> queue pair: each shard's engines ride one SQ/CQ, wrapping
-    // when there are more shards than queue pairs.
-    shard_config.navy.queue_pair = shard_index % num_qps;
-    return std::make_unique<HybridCache>(shared.device.get(), shard_config,
-                                         shared.allocator.get());
+    shard_config.navy.base_offset = partition * owner.partition_bytes();
+    shard_config.navy.size_bytes = owner.partition_bytes();
+    shard_config.navy.queue_pair = partition;
+    shard_config.navy.loc_inflight_regions = config.loc_inflight_regions;
+    shard_config.navy.soc_inflight_writes = config.soc_inflight_writes;
+    return std::make_unique<HybridCache>(&owner.device(), shard_config, &owner.allocator());
   });
-  cache_->AttachDevice(shared.device.get());
-}
-
-void ShardedSimBackend::BuildPerShard(const ShardedBackendConfig& config) {
-  stacks_.reserve(config.num_shards);
-  IoQueueConfig queue;
-  queue.sq_depth = config.queue_depth;
-  // Auto topology: a private device needs no fan-in, so default to one QP.
-  queue.num_queue_pairs = config.queue_pairs == 0 ? 1 : config.queue_pairs;
-  queue.arbitration = config.arbitration;
-  queue.wrr_weights = config.wrr_weights;
-  queue.read_priority = config.read_priority;
-  queue.exec_lanes = config.exec_lanes;
-  queue.lane_stripe_bytes = config.lane_stripe_bytes;
-  for (uint32_t i = 0; i < config.num_shards; ++i) {
-    auto stack = std::make_unique<ShardStack>();
-    stack->ssd = std::make_unique<SimulatedSsd>(config.ssd);
-    const auto nsid = stack->ssd->CreateNamespace(stack->ssd->logical_capacity_bytes());
-    if (!nsid.has_value()) {
-      std::fprintf(stderr, "ShardedSimBackend: shard %u SSD config yields no usable capacity\n",
-                   i);
-      std::abort();
-    }
-    stack->device = std::make_unique<SimSsdDevice>(stack->ssd.get(), *nsid, &stack->clock, queue);
-    stack->allocator = std::make_unique<PlacementHandleAllocator>(*stack->device);
-    stacks_.push_back(std::move(stack));
-  }
-  cache_ = std::make_unique<ShardedCache>(config.num_shards, [&](uint32_t shard_index) {
-    ShardStack& stack = *stacks_[shard_index];
-    return std::make_unique<HybridCache>(stack.device.get(), config.cache,
-                                         stack.allocator.get());
-  });
-  for (auto& stack : stacks_) {
-    cache_->AttachDevice(stack->device.get());
+  for (auto& owner : stacks_) {
+    cache_->AttachDevice(&owner->device());
   }
 }
 
@@ -376,9 +262,6 @@ ShardedSimBackend::~ShardedSimBackend() {
   // anything is torn down.
   if (cache_ != nullptr) {
     cache_->Flush();
-  }
-  if (!owned_temp_path_.empty()) {
-    std::remove(owned_temp_path_.c_str());
   }
 }
 

@@ -6,21 +6,21 @@
 // wall-clock per-op latencies into thread-local histograms. After the
 // workers join, the histograms are merged and reported together with
 // throughput (ops/s) and shard-imbalance metrics — the concurrent
-// counterpart of ExperimentRunner, which drives one cache on a virtual
-// clock.
+// counterpart of ExperimentRunner, which drives each tenant's cache on a
+// virtual clock.
+//
+// ShardedSimBackend builds the simulated device(s) beneath the cache with
+// DeviceStack, the builder ExperimentRunner uses too.
 #ifndef SRC_HARNESS_CONCURRENT_REPLAY_H_
 #define SRC_HARNESS_CONCURRENT_REPLAY_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/cache/sharded_cache.h"
-#include "src/common/clock.h"
 #include "src/common/histogram.h"
-#include "src/harness/experiment.h"
-#include "src/navy/sim_ssd_device.h"
+#include "src/harness/device_stack.h"
 #include "src/ssd/ssd.h"
 #include "src/workload/workload.h"
 
@@ -93,10 +93,10 @@ class ConcurrentReplayDriver {
 // Device topology beneath the shards.
 enum class BackendTopology : uint8_t {
   // All shards share ONE simulated SSD through one SimSsdDevice: each shard
-  // gets a byte-range partition of the namespace, its own placement handles,
-  // and its own device queue pair (the device arbitrates across the SQs),
-  // so cross-shard FDP streams genuinely interleave on the same NAND
-  // geometry — the deployment shape the paper measures.
+  // gets a page-aligned byte-range partition of the device, its own
+  // placement handles, and its own device queue pair (the device arbitrates
+  // across the SQs), so cross-shard FDP streams genuinely interleave on the
+  // same NAND geometry — the deployment shape the paper measures.
   kSharedDevice,
   // One private SSD stack per shard (PR 1 behaviour): no cross-shard device
   // interference; useful for front-end scaling studies.
@@ -106,31 +106,15 @@ enum class BackendTopology : uint8_t {
 struct ShardedBackendConfig {
   uint32_t num_shards = 4;
   BackendTopology topology = BackendTopology::kSharedDevice;
-  // Device implementation beneath the shards. kSim (default) builds the
-  // simulated stack below. kFile/kUring build ONE shared file/block device
-  // instead — kSharedDevice topology only — sized to what the simulated
-  // geometry would expose as logical capacity, so shard partitions match the
-  // sim run byte for byte. `ssd` still supplies that geometry.
-  DeviceBackend device_backend = DeviceBackend::kSim;
-  std::string device_path;       // Empty = auto temp file, removed on teardown.
-  bool device_direct_io = false;
   // Whole-device config in shared mode; per-shard device config otherwise.
   SsdConfig ssd;
-  // Per-shard cache config. In shared mode the backend overrides
-  // `cache.navy.base_offset/size_bytes` with the shard's partition.
+  // Per-shard cache config. The backend overrides `cache.navy.base_offset`,
+  // `size_bytes` and `queue_pair` with the shard's partition and queue pair.
   HybridCacheConfig cache;
   // Per-queue-pair submission-ring capacity (queue-depth knob for the async
   // pipeline; Submit blocks once this many requests are outstanding on one
   // queue pair).
   uint32_t queue_depth = 256;
-  // Queue pairs per device. 0 = auto: one QP per shard in shared mode (each
-  // shard rides its own SQ/CQ, like per-core NVMe queues), one QP per
-  // device in per-shard mode. Shards wrap modulo this count.
-  uint32_t queue_pairs = 0;
-  // Device-side arbitration across the queue pairs (see IoQueueConfig).
-  QueueArbitration arbitration = QueueArbitration::kRoundRobin;
-  std::vector<uint32_t> wrr_weights;  // kWeightedRoundRobin only.
-  bool read_priority = false;
   // Parallel execution lanes behind the arbiter (0 = inline dispatcher
   // execution; see IoQueueConfig::exec_lanes). Applied to every device this
   // backend builds.
@@ -142,10 +126,11 @@ struct ShardedBackendConfig {
   uint32_t soc_inflight_writes = 8;
 };
 
-// Owns the simulated-SSD stack(s) beneath a ShardedCache. By default
-// (kSharedDevice) one thread-safe SSD behind one multi-queue-pair device
-// serves every shard (shard i submits on queue pair i); kPerShardDevice
-// provisions one private stack per shard instead.
+// Owns the simulated-SSD stack(s) beneath a ShardedCache, built by
+// DeviceStack: one stack for every shard (kSharedDevice) or one per shard
+// (kPerShardDevice). Each stack gets one queue pair per shard it serves, and
+// each shard a partition of its stack's device and a queue pair of its own.
+// Throws std::runtime_error when a device cannot hold its shards.
 class ShardedSimBackend {
  public:
   explicit ShardedSimBackend(const ShardedBackendConfig& config);
@@ -157,27 +142,13 @@ class ShardedSimBackend {
 
   // The SSD beneath shard `index` (the single shared SSD in kSharedDevice
   // mode). Callers must quiesce first (ShardedCache::Flush + Device::Drain)
-  // — inspection is unsynchronized with in-flight I/O by design. Sim backend
-  // only: kFile/kUring stacks have no simulated SSD.
-  SimulatedSsd& shard_ssd(uint32_t index) {
-    return *stacks_[index % stacks_.size()]->ssd;
-  }
-  Device& device(uint32_t index) { return *stacks_[index % stacks_.size()]->device; }
+  // — inspection is unsynchronized with in-flight I/O by design.
+  SimulatedSsd& shard_ssd(uint32_t index) { return *stacks_[index % stacks_.size()]->ssd(); }
+  Device& device(uint32_t index) { return stacks_[index % stacks_.size()]->device(); }
 
  private:
-  struct ShardStack {
-    VirtualClock clock;
-    std::unique_ptr<SimulatedSsd> ssd;  // Null on kFile/kUring.
-    std::unique_ptr<Device> device;
-    std::unique_ptr<PlacementHandleAllocator> allocator;
-  };
-
-  void BuildShared(const ShardedBackendConfig& config);
-  void BuildPerShard(const ShardedBackendConfig& config);
-
-  std::vector<std::unique_ptr<ShardStack>> stacks_;
+  std::vector<std::unique_ptr<DeviceStack>> stacks_;
   std::unique_ptr<ShardedCache> cache_;
-  std::string owned_temp_path_;  // Auto-created backing file to remove on exit.
 };
 
 }  // namespace fdpcache

@@ -1,18 +1,11 @@
 #include "src/harness/experiment.h"
 
-#include <stdlib.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/common/epoch_reclaim.h"
-#include "src/nand/geometry.h"
-#include "src/navy/file_device.h"
-#include "src/navy/uring_file_device.h"
+#include "src/navy/file_backing.h"
 
 namespace fdpcache {
 
@@ -40,55 +33,37 @@ double AvgItemBytes(const KvWorkloadConfig& w) {
   return w.small_key_fraction * small_avg + (1.0 - w.small_key_fraction) * large_avg + 17.0;
 }
 
-// What the simulated SSD would expose as logical capacity for this geometry,
-// without building one: floor(TotalPages * (1 - OP)) pages. The file backends
-// size their backing from this so a utilization sweep covers the same byte
-// range regardless of backend.
-uint64_t GeometryLogicalBytes(const ExperimentConfig& config) {
-  NandGeometry geometry;
-  geometry.pages_per_block = config.pages_per_block;
-  geometry.planes_per_die = config.planes_per_die;
-  geometry.num_dies = config.num_dies;
-  geometry.num_superblocks = config.num_superblocks;
-  const uint64_t logical_pages = static_cast<uint64_t>(
-      std::floor(static_cast<double>(geometry.TotalPages()) *
-                 (1.0 - config.device_op_fraction)));
-  return logical_pages * geometry.page_size_bytes;
-}
-
 }  // namespace
 
-const char* DeviceBackendName(DeviceBackend backend) {
-  switch (backend) {
-    case DeviceBackend::kSim:
-      return "sim";
-    case DeviceBackend::kFile:
-      return "file";
-    case DeviceBackend::kUring:
-      return "uring";
-  }
-  return "sim";
-}
-
 ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(config) {
-  const bool sim = config_.backend == DeviceBackend::kSim;
-  if (sim) {
-    ssd_ = std::make_unique<SimulatedSsd>(MakeSsdConfig(config_));
-    allocator_ = std::make_unique<PlacementHandleAllocator>(
-        config_.fdp ? ssd_->IdentifyFdp().num_ruhs : 0);
-    logical_bytes_ = ssd_->logical_capacity_bytes();
-  } else {
-    logical_bytes_ = GeometryLogicalBytes(config_);
+  // Negated so that a NaN utilization fails the check too.
+  if (config_.num_tenants == 0 || !(config_.utilization > 0.0 && config_.utilization <= 1.0)) {
+    std::ostringstream msg;
+    msg << "ExperimentRunner: cannot provision " << config_.num_tenants
+        << " tenant(s) at utilization " << config_.utilization
+        << "; need at least one tenant and a utilization in (0, 1]";
+    throw std::runtime_error(msg.str());
   }
+  DeviceStackConfig stack;
+  stack.backend = config_.backend;
+  stack.ssd = MakeSsdConfig(config_);
+  stack.queue.num_queue_pairs = config_.queue_pairs == 0 ? 1 : config_.queue_pairs;
+  stack.queue.exec_lanes = config_.exec_lanes;
+  stack.queue.lane_stripe_bytes =
+      config_.lane_stripe_bytes != 0 ? config_.lane_stripe_bytes : config_.loc_region_size;
+  stack.path = config_.device_path;
+  stack.direct_io = config_.device_direct_io;
 
-  const uint64_t logical = logical_bytes_;
+  logical_bytes_ = LogicalCapacityBytes(stack.ssd);
   cache_bytes_per_tenant_ = static_cast<uint64_t>(
-      static_cast<double>(logical) * config_.utilization / config_.num_tenants);
-  if (!sim) {
-    // Byte-range partitions of one shared file: keep every tenant's slice
-    // page-aligned so O_DIRECT and the region math never straddle pages.
-    cache_bytes_per_tenant_ -= cache_bytes_per_tenant_ % 4096;
-  }
+      static_cast<double>(logical_bytes_) * config_.utilization / config_.num_tenants);
+  // The stack rounds each tenant's partition up to whole pages and throws
+  // when the partitions do not fit.
+  stack.partitions = config_.num_tenants;
+  stack.partition_bytes = cache_bytes_per_tenant_;
+  stack_ = std::make_unique<DeviceStack>(stack);
+  const uint64_t partition_bytes = stack_->partition_bytes();
+
   // Paper default DRAM:NVM ratio is 42 GB : 930 GB (~4.5%).
   ram_bytes_ = config_.ram_bytes != 0
                    ? config_.ram_bytes
@@ -102,96 +77,15 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(con
     // utilization sweeps vary cache size against a fixed working set — the
     // paper's Figure 6 methodology (same trace, different cache sizes).
     const double working_set_bytes =
-        0.9 * static_cast<double>(logical) / config_.num_tenants;
+        0.9 * static_cast<double>(logical_bytes_) / config_.num_tenants;
     workload.num_keys = std::max<uint64_t>(
         10'000, static_cast<uint64_t>(working_set_bytes / AvgItemBytes(workload)));
   }
 
   const uint32_t queue_depth = config_.queue_depth == 0 ? 1 : config_.queue_depth;
-  const uint32_t queue_pairs = config_.queue_pairs == 0 ? 1 : config_.queue_pairs;
-  if (cache_bytes_per_tenant_ == 0) {
-    std::ostringstream msg;
-    msg << "ExperimentRunner: device too small — logical capacity " << logical
-        << " bytes across " << config_.num_tenants
-        << " tenant(s) at utilization " << config_.utilization
-        << " leaves no per-tenant cache; increase num_superblocks or reduce num_tenants";
-    throw std::runtime_error(msg.str());
-  }
-
-  IoQueueConfig queue;
-  queue.num_queue_pairs = queue_pairs;
-  queue.exec_lanes = config_.exec_lanes;
-  queue.lane_stripe_bytes =
-      config_.lane_stripe_bytes != 0 ? config_.lane_stripe_bytes : config_.loc_region_size;
-
-  if (!sim) {
-    // One shared file/block device for every tenant; tenants partition it by
-    // byte range exactly like sim tenants partition the shared simulated SSD
-    // by namespace.
-    FileBackingOptions backing;
-    backing.path = config_.device_path;
-    if (backing.path.empty()) {
-      char temp_template[] = "/tmp/fdpbench_backing_XXXXXX";
-      const int fd = ::mkstemp(temp_template);
-      if (fd < 0) {
-        throw std::runtime_error(
-            "ExperimentRunner: cannot create a temp backing file under /tmp; "
-            "pass an explicit path via device_path");
-      }
-      ::close(fd);
-      owned_temp_path_ = temp_template;
-      backing.path = owned_temp_path_;
-    }
-    backing.size_bytes = cache_bytes_per_tenant_ * config_.num_tenants;
-    backing.direct_io = config_.device_direct_io;
-    if (config_.backend == DeviceBackend::kFile) {
-      auto device = std::make_unique<FileDevice>(backing, queue);
-      if (!device->ok()) {
-        throw std::runtime_error("ExperimentRunner: " + device->error());
-      }
-      shared_device_ = std::move(device);
-    } else {
-      auto device = std::make_unique<UringFileDevice>(
-          [&] {
-            UringFileDevice::Options options;
-            options.backing = backing;
-            return options;
-          }(),
-          queue);
-      if (!device->ok()) {
-        throw std::runtime_error("ExperimentRunner: " + device->error());
-      }
-      shared_device_ = std::move(device);
-    }
-    // A plain file exposes no placement handles; the allocator degrades to
-    // kNoPlacement and the caches run FDP-off.
-    allocator_ = std::make_unique<PlacementHandleAllocator>(*shared_device_);
-  }
-
+  const uint32_t queue_pairs = stack.queue.num_queue_pairs;
   for (uint32_t t = 0; t < config_.num_tenants; ++t) {
     auto tenant = std::make_unique<Tenant>();
-    if (sim) {
-      // Validate per-tenant namespace sizing instead of dereferencing a failed
-      // allocation: CreateNamespace rounds each tenant's share up to whole
-      // pages, so N tenants of logical/N bytes can exceed the device by up to
-      // N-1 pages — historically a segfault on the second tenant of a small
-      // device (fdpbench --tenants=2 --superblocks=64).
-      const auto nsid = ssd_->CreateNamespace(cache_bytes_per_tenant_);
-      if (!nsid.has_value()) {
-        std::ostringstream msg;
-        msg << "ExperimentRunner: cannot carve namespace for tenant " << t << ": need "
-            << cache_bytes_per_tenant_ << " bytes but only " << ssd_->UnallocatedBytes()
-            << " of the device's " << ssd_->logical_capacity_bytes()
-            << "-byte logical capacity remain unallocated; increase num_superblocks, or reduce "
-               "num_tenants/utilization";
-        throw std::runtime_error(msg.str());
-      }
-      tenant->sim_device = std::make_unique<SimSsdDevice>(ssd_.get(), *nsid, &clock_, queue);
-      tenant->device = tenant->sim_device.get();
-    } else {
-      tenant->device = shared_device_.get();
-    }
-
     HybridCacheConfig cache_config;
     cache_config.ram_bytes = ram_bytes_;
     cache_config.navy.small_item_max_bytes = config_.small_item_max_bytes;
@@ -199,11 +93,8 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(con
     cache_config.navy.loc_region_size = config_.loc_region_size;
     cache_config.navy.loc_eviction = config_.loc_eviction;
     cache_config.navy.loc_trim_on_evict = config_.loc_trim_on_evict;
-    cache_config.navy.use_placement_handles = config_.fdp && sim;
-    if (!sim) {
-      cache_config.navy.base_offset = static_cast<uint64_t>(t) * cache_bytes_per_tenant_;
-      cache_config.navy.size_bytes = cache_bytes_per_tenant_;
-    }
+    cache_config.navy.base_offset = t * partition_bytes;
+    cache_config.navy.size_bytes = partition_bytes;
     // Each placement stream rides its own queue pair when enough are
     // configured: tenant t's SOC on QP 2t, its LOC on QP 2t+1 (mod qps) —
     // so even a single-tenant run exercises multiple SQs at --qps >= 2.
@@ -220,7 +111,7 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(con
       cache_config.navy.soc_inflight_writes = depth;
     }
     tenant->cache =
-        std::make_unique<HybridCache>(tenant->device, cache_config, allocator_.get());
+        std::make_unique<HybridCache>(&stack_->device(), cache_config, &stack_->allocator());
 
     KvWorkloadConfig tenant_workload = workload;
     tenant_workload.seed = config_.seed + 1000003ull * t;
@@ -229,20 +120,13 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(con
   }
 }
 
-ExperimentRunner::~ExperimentRunner() {
-  // Caches (inside tenants_) must die before the device they write through.
-  tenants_.clear();
-  shared_device_.reset();
-  if (!owned_temp_path_.empty()) {
-    std::remove(owned_temp_path_.c_str());
-  }
-}
+ExperimentRunner::~ExperimentRunner() = default;
 
 uint64_t ExperimentRunner::HostBytesWritten() const {
-  if (ssd_ != nullptr) {
-    return ssd_->GetFdpStatisticsLog().host_bytes_written;
+  if (const SimulatedSsd* ssd = stack_->ssd()) {
+    return ssd->GetFdpStatisticsLog().host_bytes_written;
   }
-  return shared_device_->stats().write_bytes;
+  return stack_->device().stats().write_bytes;
 }
 
 bool ExperimentRunner::Barrier() {
@@ -258,24 +142,26 @@ bool ExperimentRunner::Barrier() {
   if (config_.queue_depth > 1 || config_.cache_queue_depth > 1) {
     for (auto& tenant : tenants_) {
       ok = tenant->cache->navy().ReapPending() && ok;
-      tenant->device->Drain();
     }
+    stack_->device().Drain();
   }
   return ok;
 }
 
 void ExperimentRunner::MaybeBackpressure() {
-  if (ssd_ == nullptr) {
+  const SimulatedSsd* ssd = stack_->ssd();
+  if (ssd == nullptr) {
     return;  // File backends: real I/O applies its own backpressure.
   }
-  const TimeNs horizon = ssd_->MaxDieBusyUntil();
-  if (horizon > clock_.now() + config_.device_backlog_window_ns) {
-    clock_.AdvanceTo(horizon - config_.device_backlog_window_ns);
+  VirtualClock& clock = stack_->clock();
+  const TimeNs horizon = ssd->MaxDieBusyUntil();
+  if (horizon > clock.now() + config_.device_backlog_window_ns) {
+    clock.AdvanceTo(horizon - config_.device_backlog_window_ns);
   }
 }
 
 void ExperimentRunner::ExecuteOpAsync(Tenant& tenant, const Op& op) {
-  clock_.Advance(config_.host_cpu_ns_per_op);
+  stack_->clock().Advance(config_.host_cpu_ns_per_op);
   const std::string key = KeyString(op.key_id);
   HybridCache* cache = tenant.cache.get();
   switch (op.type) {
@@ -307,7 +193,7 @@ void ExperimentRunner::ExecuteOpAsync(Tenant& tenant, const Op& op) {
         // Cache miss: fetch from the backend and fill (CacheBench get path).
         // The fill uses the version map as of NOW, so it linearizes
         // consistently after any Set that raced this lookup.
-        clock_.Advance(config_.backend_fetch_ns);
+        stack_->clock().Advance(config_.backend_fetch_ns);
         uint32_t& version = tenant_ptr->versions[issued.key_id];
         if (version == 0) {
           version = 1;
@@ -342,7 +228,7 @@ void ExperimentRunner::ExecuteOp(Tenant& tenant, const Op& op) {
     ExecuteOpAsync(tenant, op);
     return;
   }
-  clock_.Advance(config_.host_cpu_ns_per_op);
+  stack_->clock().Advance(config_.host_cpu_ns_per_op);
   const std::string key = KeyString(op.key_id);
   switch (op.type) {
     case OpType::kSet: {
@@ -362,7 +248,7 @@ void ExperimentRunner::ExecuteOp(Tenant& tenant, const Op& op) {
         }
       } else {
         // Cache miss: fetch from the backend and fill (CacheBench get path).
-        clock_.Advance(config_.backend_fetch_ns);
+        stack_->clock().Advance(config_.backend_fetch_ns);
         uint32_t& version = tenant.versions[op.key_id];
         if (version == 0) {
           version = 1;
@@ -381,6 +267,12 @@ void ExperimentRunner::ExecuteOp(Tenant& tenant, const Op& op) {
 }
 
 MetricsReport ExperimentRunner::Run() {
+  SimulatedSsd* ssd = stack_->ssd();
+  Device& device = stack_->device();
+  // Virtual time on the simulator; wall time against real hardware, where the
+  // virtual clock only ticks the modeled host CPU cost.
+  const auto now = [&] { return ssd != nullptr ? stack_->clock().now() : FileWallNowNs(); };
+
   // --- Warm-up: fill the flash cache, then reset statistics -----------------
   const uint64_t warmup_bytes = static_cast<uint64_t>(
       config_.warmup_cache_writes *
@@ -403,21 +295,15 @@ MetricsReport ExperimentRunner::Run() {
   if (!Barrier()) {
     ++flush_failures;
   }
-  if (ssd_ != nullptr) {
-    ssd_->ftl().ResetStats();
-    ssd_->ResetGcStats();
+  if (ssd != nullptr) {
+    ssd->ftl().ResetStats();
+    ssd->ResetGcStats();
   }
   for (auto& tenant : tenants_) {
     tenant->cache->ResetStats();
     tenant->verify_failures = 0;
   }
-  if (shared_device_ != nullptr) {
-    shared_device_->ResetStats();
-  } else {
-    for (auto& tenant : tenants_) {
-      tenant->device->ResetStats();
-    }
-  }
+  device.ResetStats();
   // Observability covers only the measured phase: tracing and the live
   // exporter start after the warm-up reset so stage spans and time series
   // describe steady state. Trace timestamps use the wall clock exclusively —
@@ -440,14 +326,12 @@ MetricsReport ExperimentRunner::Run() {
     exporter_ = std::make_unique<obs::MetricsExporter>(&metrics_, exporter_options);
     exporter_->Start();
   }
-  // Virtual time on the simulator; wall time against real hardware, where the
-  // virtual clock only ticks the modeled host CPU cost.
-  const TimeNs measure_start = ssd_ != nullptr ? clock_.now() : FileWallNowNs();
+  const TimeNs measure_start = now();
 
   // --- Measured phase with interval DLWA sampling ---------------------------
   MetricsReport report;
   FdpStatistics last_sample =
-      ssd_ != nullptr ? ssd_->GetFdpStatisticsLog() : FdpStatistics{};
+      ssd != nullptr ? ssd->GetFdpStatisticsLog() : FdpStatistics{};
   uint64_t executed = 0;
   if (config_.overwrite_passes > 0) {
     // Steady-state churn: run until the host has overwritten the device's
@@ -470,8 +354,8 @@ MetricsReport ExperimentRunner::Run() {
       }
       if (executed % check_every < tenants_.size()) {
         written = HostBytesWritten();
-        if (ssd_ != nullptr && written >= next_sample_bytes) {
-          const FdpStatistics now_stats = ssd_->GetFdpStatisticsLog();
+        if (ssd != nullptr && written >= next_sample_bytes) {
+          const FdpStatistics now_stats = ssd->GetFdpStatisticsLog();
           if (now_stats.host_bytes_written > last_sample.host_bytes_written) {
             report.interval_dlwa.push_back(FdpStatistics::IntervalDlwa(last_sample, now_stats));
             last_sample = now_stats;
@@ -489,8 +373,8 @@ MetricsReport ExperimentRunner::Run() {
         ExecuteOp(*tenant, *op);
         ++executed;
       }
-      if (ssd_ != nullptr && executed % sample_interval < tenants_.size()) {
-        const FdpStatistics now_stats = ssd_->GetFdpStatisticsLog();
+      if (ssd != nullptr && executed % sample_interval < tenants_.size()) {
+        const FdpStatistics now_stats = ssd->GetFdpStatisticsLog();
         if (now_stats.host_bytes_written > last_sample.host_bytes_written) {
           report.interval_dlwa.push_back(FdpStatistics::IntervalDlwa(last_sample, now_stats));
           last_sample = now_stats;
@@ -535,18 +419,16 @@ MetricsReport ExperimentRunner::Run() {
   }
 
   // --- Collect ----------------------------------------------------------------
-  const TimeNs elapsed = (ssd_ != nullptr ? clock_.now() : FileWallNowNs()) - measure_start;
+  const TimeNs elapsed = now() - measure_start;
   report.elapsed_virtual_ns = elapsed;
   report.ops_executed = executed;
   // A plain file rewrites in place: device bytes == host bytes, DLWA 1.
-  report.final_dlwa = ssd_ != nullptr ? ssd_->GetFdpStatisticsLog().Dlwa() : 1.0;
+  report.final_dlwa = ssd != nullptr ? ssd->GetFdpStatisticsLog().Dlwa() : 1.0;
   report.host_bytes_written = HostBytesWritten();
   report.throughput_kops =
       elapsed == 0 ? 0.0
                    : static_cast<double>(executed) / (static_cast<double>(elapsed) / 1e9) / 1e3;
 
-  Histogram reads;
-  Histogram writes;
   uint64_t gets = 0;
   uint64_t sets = 0;
   double hit_num = 0;
@@ -555,20 +437,6 @@ MetricsReport ExperimentRunner::Run() {
   double item_bytes = 0;
   double dev_bytes = 0;
   double soc_dev_bytes = 0;
-  // Device stats are per *distinct* device: per tenant on the simulator,
-  // once for the shared file device (every tenant would re-count it).
-  const auto collect_device = [&](Device* device) {
-    const DeviceStats device_stats = device->stats();
-    reads.Merge(device_stats.read_latency_ns);
-    writes.Merge(device_stats.write_latency_ns);
-    report.device_queue_pairs = MergeQueuePairStats(std::move(report.device_queue_pairs),
-                                                    device->PerQueuePairStats());
-    report.device_lanes =
-        MergeLaneStats(std::move(report.device_lanes), device->PerLaneStats());
-  };
-  if (shared_device_ != nullptr) {
-    collect_device(shared_device_.get());
-  }
   for (auto& tenant : tenants_) {
     const auto& cache_stats = tenant->cache->stats();
     gets += cache_stats.gets;
@@ -576,9 +444,6 @@ MetricsReport ExperimentRunner::Run() {
     hit_num += static_cast<double>(cache_stats.ram_hits + cache_stats.nvm_hits);
     nvm_hit_num += static_cast<double>(cache_stats.nvm_hits);
     nvm_lookups += static_cast<double>(cache_stats.nvm_lookups);
-    if (shared_device_ == nullptr) {
-      collect_device(tenant->device);
-    }
     const NavyStats navy = tenant->cache->navy().stats();
     item_bytes += static_cast<double>(navy.soc.item_bytes_written + navy.loc.item_bytes_written);
     dev_bytes += static_cast<double>(navy.soc.bytes_written + navy.loc.bytes_written);
@@ -591,15 +456,20 @@ MetricsReport ExperimentRunner::Run() {
   report.nvm_hit_ratio = nvm_lookups == 0 ? 0.0 : nvm_hit_num / nvm_lookups;
   report.alwa = item_bytes == 0 ? 1.0 : dev_bytes / item_bytes;
   report.soc_write_share = dev_bytes == 0 ? 0.0 : soc_dev_bytes / dev_bytes;
+  const DeviceStats device_stats = device.stats();
+  const Histogram& reads = device_stats.read_latency_ns;
+  const Histogram& writes = device_stats.write_latency_ns;
   report.p50_read_ns = reads.Percentile(50);
   report.p99_read_ns = reads.Percentile(99);
   report.p999_read_ns = reads.Percentile(99.9);
   report.p50_write_ns = writes.Percentile(50);
   report.p99_write_ns = writes.Percentile(99);
   report.p999_write_ns = writes.Percentile(99.9);
+  report.device_queue_pairs = device.PerQueuePairStats();
+  report.device_lanes = device.PerLaneStats();
 
-  if (ssd_ != nullptr) {
-    const SsdTelemetry telemetry = ssd_->Telemetry(elapsed);
+  if (ssd != nullptr) {
+    const SsdTelemetry telemetry = ssd->Telemetry(elapsed);
     report.gc_events = telemetry.gc_events;
     report.per_die_busy_ns = telemetry.per_die_busy_ns;
     report.gc_relocated_pages = telemetry.gc_relocated_pages;
@@ -621,12 +491,12 @@ MetricsReport ExperimentRunner::Run() {
   }
   report.overwrite_passes_done = static_cast<double>(report.host_bytes_written) /
                                  static_cast<double>(logical_bytes_);
-  report.device_page_bytes = ssd_ != nullptr ? ssd_->page_size() : shared_device_->page_size();
+  report.device_page_bytes = device.page_size();
 
   report.cache_bytes = cache_bytes_per_tenant_;
   report.ram_bytes = ram_bytes_;
   report.device_physical_bytes =
-      ssd_ != nullptr ? ssd_->physical_capacity_bytes() : shared_device_->size_bytes();
+      ssd != nullptr ? ssd->physical_capacity_bytes() : device.size_bytes();
   return report;
 }
 
@@ -668,32 +538,15 @@ void ExperimentRunner::RegisterMetrics() {
     reg.Gauge("fdpcache_epoch_active_readers")
         ->Set(static_cast<double>(EpochRegistry::Instance().ActiveReaders()));
 
-    DeviceStats dev;
-    std::vector<QueuePairStats> qps;
-    std::vector<LaneStats> lanes;
-    uint64_t in_flight = 0;
-    const auto collect_device = [&](Device* device) {
-      const DeviceStats s = device->stats();
-      dev.reads += s.reads;
-      dev.writes += s.writes;
-      dev.read_bytes += s.read_bytes;
-      dev.write_bytes += s.write_bytes;
-      qps = MergeQueuePairStats(std::move(qps), device->PerQueuePairStats());
-      lanes = MergeLaneStats(std::move(lanes), device->PerLaneStats());
-      in_flight += device->InFlight();
-    };
-    if (shared_device_ != nullptr) {
-      collect_device(shared_device_.get());
-    } else {
-      for (const auto& tenant : tenants_) {
-        collect_device(tenant->device);
-      }
-    }
+    const Device& device = stack_->device();
+    const DeviceStats dev = device.stats();
+    const std::vector<QueuePairStats> qps = device.PerQueuePairStats();
+    const std::vector<LaneStats> lanes = device.PerLaneStats();
     reg.Counter("fdpcache_device_reads")->Set(dev.reads);
     reg.Counter("fdpcache_device_writes")->Set(dev.writes);
     reg.Counter("fdpcache_device_read_bytes")->Set(dev.read_bytes);
     reg.Counter("fdpcache_device_write_bytes")->Set(dev.write_bytes);
-    reg.Gauge("fdpcache_device_in_flight")->Set(static_cast<double>(in_flight));
+    reg.Gauge("fdpcache_device_in_flight")->Set(static_cast<double>(device.InFlight()));
     for (size_t i = 0; i < qps.size(); ++i) {
       const std::string label = "{qp=\"" + std::to_string(i) + "\"}";
       reg.Counter("fdpcache_qp_reads" + label)->Set(qps[i].reads);
@@ -710,11 +563,11 @@ void ExperimentRunner::RegisterMetrics() {
       reg.Counter("fdpcache_lane_busy_ns" + label)->Set(lanes[i].busy_ns);
     }
 
-    if (ssd_ != nullptr) {
-      const FdpStatistics fdp = ssd_->GetFdpStatisticsLog();
+    if (const SimulatedSsd* ssd = stack_->ssd()) {
+      const FdpStatistics fdp = ssd->GetFdpStatisticsLog();
       reg.Gauge("fdpcache_ssd_dlwa")->Set(fdp.Dlwa());
       reg.Counter("fdpcache_ssd_host_bytes_written")->Set(fdp.host_bytes_written);
-      const SsdTelemetry telemetry = ssd_->Telemetry(0);
+      const SsdTelemetry telemetry = ssd->Telemetry(0);
       reg.Counter("fdpcache_gc_bg_ticks")->Set(telemetry.gc_unit.ticks);
       reg.Counter("fdpcache_gc_bg_migrated_pages")->Set(telemetry.gc_unit.migrated_pages);
       reg.Counter("fdpcache_gc_bg_deferred_ticks")->Set(telemetry.gc_unit.deferred_ticks);

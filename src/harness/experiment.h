@@ -1,11 +1,12 @@
 // Experiment harness: maps the paper's CacheBench deployments onto the
 // simulated stack and collects the metrics the evaluation section reports.
 //
-// A run builds a SimulatedSsd, carves one namespace per tenant, stands up a
-// HybridCache per tenant (sharing one placement-handle allocator, as the
-// upstreamed CacheLib change does), replays a synthetic trace through a
-// virtual clock, and samples interval DLWA from the FDP statistics log the
-// way the paper samples `nvme get-log` every ten minutes.
+// A run builds one DeviceStack, gives each tenant a page-aligned byte range
+// of its device, stands up a HybridCache per tenant (sharing the stack's
+// placement-handle allocator, as the upstreamed CacheLib change does),
+// replays a synthetic trace through a virtual clock, and samples interval
+// DLWA from the FDP statistics log the way the paper samples `nvme get-log`
+// every ten minutes.
 #ifndef SRC_HARNESS_EXPERIMENT_H_
 #define SRC_HARNESS_EXPERIMENT_H_
 
@@ -15,8 +16,7 @@
 #include <vector>
 
 #include "src/cache/hybrid_cache.h"
-#include "src/common/clock.h"
-#include "src/navy/sim_ssd_device.h"
+#include "src/harness/device_stack.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/ssd/ssd.h"
@@ -24,27 +24,12 @@
 
 namespace fdpcache {
 
-// Which device implementation backs the tenants' caches.
-//  kSim:   the simulated FDP SSD (virtual-clock latencies, FDP statistics,
-//          GC/DLWA telemetry) — the default, and the only backend whose
-//          metrics cover the paper's DLWA/FDP claims.
-//  kFile:  FileDevice on a regular file or block device — synchronous
-//          pread/pwrite under the queue-pair pipeline, wall-clock latencies.
-//  kUring: UringFileDevice — io_uring when the kernel has it (thread-pool
-//          fallback otherwise), same file/block-device backing.
-// On kFile/kUring all tenants share ONE device and partition it by byte
-// range (exactly how sim shards share one SSD); FDP placement, DLWA, GC and
-// energy metrics are reported as zeros/unity since a plain file has none.
-enum class DeviceBackend : uint8_t { kSim, kFile, kUring };
-
-const char* DeviceBackendName(DeviceBackend backend);
-
 struct ExperimentConfig {
   // --- Backend ----------------------------------------------------------------
   DeviceBackend backend = DeviceBackend::kSim;
   // Backing path for kFile/kUring: a regular file (created/grown as needed)
   // or an existing block device (never truncated). Empty = a temp file under
-  // /tmp sized like the simulated device, removed when the runner dies.
+  // /tmp holding every tenant's partition, removed when the runner dies.
   std::string device_path;
   // Ask for O_DIRECT on kFile/kUring (downgraded automatically where the
   // filesystem refuses, e.g. tmpfs).
@@ -66,7 +51,10 @@ struct ExperimentConfig {
   bool static_wear_leveling = false;
 
   // --- Deployment -----------------------------------------------------------
-  double utilization = 0.5;        // Fraction of logical capacity used to cache.
+  // Fraction of logical capacity used to cache, in (0, 1]. Tenant t owns
+  // bytes [t * P, (t + 1) * P) of the one device, where P is the share
+  // logical * utilization / num_tenants rounded up to whole pages.
+  double utilization = 0.5;
   double soc_fraction = 0.04;      // SOC share of the flash cache (paper: 4%).
   // DRAM cache size; 0 derives the paper's default ratio (42 GB : 930 GB).
   uint64_t ram_bytes = 0;
@@ -90,13 +78,13 @@ struct ExperimentConfig {
   // ride the device queue pairs in flight at once and completions are reaped
   // opportunistically, with a flush barrier before statistics are collected.
   uint32_t queue_depth = 1;
-  // Queue pairs per tenant device. Each placement stream rides its own SQ:
-  // tenant t's SOC submits on QP (2t % queue_pairs), its LOC on QP
-  // ((2t+1) % queue_pairs). The split shows up in
+  // Queue pairs of the one device every tenant shares. Each placement stream
+  // rides its own SQ: tenant t's SOC submits on QP (2t % queue_pairs), its
+  // LOC on QP ((2t+1) % queue_pairs). The split shows up in
   // MetricsReport::device_queue_pairs at any queue depth; actual pipelining
   // needs queue_depth > 1.
   uint32_t queue_pairs = 1;
-  // Parallel execution lanes behind each tenant device's arbiter
+  // Parallel execution lanes behind the device's arbiter
   // (IoQueueConfig::exec_lanes; fdpbench --lanes). 0 keeps the inline
   // dispatcher path — bit-identical to the pre-lane harness at any queue
   // depth. >0 executes disjoint requests concurrently on lane worker
@@ -212,12 +200,11 @@ struct MetricsReport {
   // Write-stream composition (SOC share of flash-cache device write bytes).
   double soc_write_share = 0.0;
 
-  // Per-queue-pair device stats (queue-depth histograms, per-QP latency),
-  // merged across every tenant device. Index = queue pair.
+  // Per-queue-pair device stats (queue-depth histograms, per-QP latency).
+  // Index = queue pair.
   std::vector<QueuePairStats> device_queue_pairs;
 
-  // Per-execution-lane device stats, merged across every tenant device.
-  // Empty when exec_lanes == 0.
+  // Per-execution-lane device stats. Empty when exec_lanes == 0.
   std::vector<LaneStats> device_lanes;
 
   // Per-die busy time from the device's DieScheduler (index = die), for
@@ -238,7 +225,7 @@ struct MetricsReport {
   uint64_t elapsed_virtual_ns = 0;
   uint64_t ops_executed = 0;
   uint64_t verify_failures = 0;
-  uint64_t cache_bytes = 0;          // Flash cache size per tenant.
+  uint64_t cache_bytes = 0;          // Flash cache share per tenant (unrounded).
   uint64_t ram_bytes = 0;
   uint64_t device_physical_bytes = 0;
 
@@ -252,28 +239,23 @@ struct MetricsReport {
 
 class ExperimentRunner {
  public:
-  // Throws std::runtime_error when the deployment cannot be provisioned —
-  // in particular when the per-tenant namespaces do not fit the device
-  // (e.g. fdpbench --tenants=2 --superblocks=64), which used to crash.
+  // Throws std::runtime_error when the deployment cannot be provisioned: no
+  // tenants, a utilization outside (0, 1], or tenant partitions that do not
+  // fit the device (e.g. fdpbench --tenants=2 --superblocks=64), on every
+  // backend.
   explicit ExperimentRunner(const ExperimentConfig& config);
   ~ExperimentRunner();
 
   // Runs warm-up then the measured phase; returns the collected metrics.
   MetricsReport Run();
 
-  // Sim backend only; never call on kFile/kUring (see has_sim()).
-  SimulatedSsd& ssd() { return *ssd_; }
-  bool has_sim() const { return ssd_ != nullptr; }
-  // The one device every tenant shares on kFile/kUring; null on kSim (each
-  // tenant has its own SimSsdDevice over the shared simulated SSD).
-  Device* shared_device() { return shared_device_.get(); }
+  // Sim backend only; never call on kFile/kUring.
+  SimulatedSsd& ssd() { return *stack_->ssd(); }
+  // The one device every tenant partitions.
+  Device& device() { return stack_->device(); }
 
  private:
   struct Tenant {
-    // Not owned on kFile/kUring (points at shared_device_); owned via
-    // sim_device on kSim.
-    Device* device = nullptr;
-    std::unique_ptr<SimSsdDevice> sim_device;
     std::unique_ptr<HybridCache> cache;
     std::unique_ptr<KvTraceGenerator> generator;
     std::unordered_map<uint64_t, uint32_t> versions;
@@ -291,7 +273,7 @@ class ExperimentRunner {
   void MaybeBackpressure();
 
   // Host bytes the workload has pushed to flash so far: the FDP statistics
-  // log on kSim, merged device write counters on kFile/kUring. Drives the
+  // log on kSim, the device's write counters on kFile/kUring. Drives the
   // warm-up and overwrite-pass progress loops on every backend.
   uint64_t HostBytesWritten() const;
 
@@ -302,21 +284,20 @@ class ExperimentRunner {
   void RegisterMetrics();
 
   ExperimentConfig config_;
-  // Owned (not the process singleton) so collectors capturing runner state
+  // Owned (not a process singleton) so collectors capturing runner state
   // cannot outlive what they point at.
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::MetricsExporter> exporter_;
-  VirtualClock clock_;
-  std::unique_ptr<SimulatedSsd> ssd_;              // kSim only.
-  std::unique_ptr<Device> shared_device_;          // kFile/kUring only.
-  std::string owned_temp_path_;  // Auto-created backing file to remove on exit.
-  std::unique_ptr<PlacementHandleAllocator> allocator_;
+  std::unique_ptr<DeviceStack> stack_;
+  // Declared after stack_: the caches die before the device they write
+  // through.
   std::vector<std::unique_ptr<Tenant>> tenants_;
+  // Declared last: stops before the state its collectors read is destroyed.
+  std::unique_ptr<obs::MetricsExporter> exporter_;
   uint64_t cache_bytes_per_tenant_ = 0;
   uint64_t ram_bytes_ = 0;
   // Usable capacity the experiment is sized against: the simulated SSD's
-  // logical capacity on kSim, and the same geometry-derived figure on
-  // kFile/kUring so utilization sweeps mean the same thing on every backend.
+  // logical capacity, which kFile/kUring are sized against too, so
+  // utilization sweeps mean the same thing on every backend.
   uint64_t logical_bytes_ = 0;
 };
 

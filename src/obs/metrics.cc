@@ -45,11 +45,6 @@ void AppendDouble(std::string* out, double v) {
 
 }  // namespace
 
-MetricsRegistry& MetricsRegistry::Instance() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
 MetricCounter* MetricsRegistry::Counter(const std::string& name) {
   fdp::MutexLock lock(&mu_);
   auto it = metrics_.find(name);

@@ -92,11 +92,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Process-wide instance for code without a natural owner. Harness code
-  // should own its own registry instead (collectors capture runner state,
-  // so a process singleton would outlive what they point at).
-  static MetricsRegistry& Instance();
-
   // Idempotent per name: the first call creates, later calls return the
   // same handle. Registering a name under a different type returns nullptr.
   MetricCounter* Counter(const std::string& name);

@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <glob.h>
+#include <stdlib.h>
+#include <unistd.h>
 
+#include <cmath>
+#include <set>
+#include <stdexcept>
+#include <string>
+
+#include "src/ftl/ftl.h"
 #include "src/harness/report.h"
 
 namespace fdpcache {
@@ -222,21 +230,114 @@ TEST(HarnessTest, ExecLanesKnobKeepsResultsHealthyAndSurfacesLaneAndDieStats) {
 // Regression: an undersized multi-tenant deployment must fail with a clear
 // provisioning error, not crash. fdpbench --tenants=2 --superblocks=64
 // (utilization 1.0) used to segfault dereferencing the second tenant's
-// failed namespace allocation.
+// failed namespace allocation. Every backend applies the same partition
+// rule, so the file backend refuses the same deployment.
 TEST(HarnessTest, UndersizedMultiTenantDeploymentThrowsInsteadOfCrashing) {
+  for (const DeviceBackend backend : {DeviceBackend::kSim, DeviceBackend::kFile}) {
+    SCOPED_TRACE(DeviceBackendName(backend));
+    ExperimentConfig config = SmallExperiment(true);
+    config.backend = backend;
+    config.num_superblocks = 64;
+    config.num_tenants = 2;
+    config.utilization = 1.0;
+    EXPECT_THROW({ ExperimentRunner runner(config); }, std::runtime_error);
+
+    // Inputs no device can satisfy are refused before any sizing arithmetic.
+    ExperimentConfig no_tenants = config;
+    no_tenants.num_tenants = 0;
+    EXPECT_THROW({ ExperimentRunner runner(no_tenants); }, std::runtime_error);
+    for (const double utilization : {0.0, 1.5, std::nan("")}) {
+      ExperimentConfig bad = config;
+      bad.num_tenants = 1;
+      bad.utilization = utilization;
+      EXPECT_THROW({ ExperimentRunner runner(bad); }, std::runtime_error) << utilization;
+    }
+
+    // The same deployment with headroom provisions fine.
+    config.utilization = 0.9;
+    ExperimentConfig ok_config = config;
+    ok_config.total_ops = 1'000;
+    ok_config.warmup_cache_writes = 0.0;
+    const MetricsReport report = ExperimentRunner(ok_config).Run();
+    EXPECT_EQ(report.ops_executed, ok_config.total_ops);
+  }
+}
+
+// One deployment, one layout: the file backend gives each tenant the same
+// page-aligned byte range as the simulator, so at queue depth 1 every
+// cache-side figure matches exactly (only device timing and FDP telemetry
+// differ).
+TEST(HarnessTest, SimAndFileBackendsReportIdenticalCacheMetricsAtQueueDepthOne) {
   ExperimentConfig config = SmallExperiment(true);
   config.num_superblocks = 64;
   config.num_tenants = 2;
-  config.utilization = 1.0;
-  EXPECT_THROW({ ExperimentRunner runner(config); }, std::runtime_error);
+  config.utilization = 0.7;
+  config.total_ops = 40'000;
+  config.verify_values = true;
+  const MetricsReport sim = ExperimentRunner(config).Run();
+  config.backend = DeviceBackend::kFile;
+  const MetricsReport file = ExperimentRunner(config).Run();
 
-  // The same deployment with headroom provisions fine.
-  config.utilization = 0.9;
-  ExperimentConfig ok_config = config;
-  ok_config.total_ops = 1'000;
-  ok_config.warmup_cache_writes = 0.0;
-  const MetricsReport report = ExperimentRunner(ok_config).Run();
-  EXPECT_EQ(report.ops_executed, ok_config.total_ops);
+  EXPECT_EQ(sim.gets, file.gets);
+  EXPECT_EQ(sim.sets, file.sets);
+  EXPECT_EQ(sim.hit_ratio, file.hit_ratio);
+  EXPECT_EQ(sim.nvm_hit_ratio, file.nvm_hit_ratio);
+  EXPECT_EQ(sim.alwa, file.alwa);
+  EXPECT_EQ(sim.soc_write_share, file.soc_write_share);
+  EXPECT_EQ(sim.cache_bytes, file.cache_bytes);
+  EXPECT_EQ(sim.ram_bytes, file.ram_bytes);
+  EXPECT_EQ(sim.verify_failures, 0u);
+  EXPECT_EQ(file.verify_failures, 0u);
+}
+
+std::set<std::string> TempBackingFiles() {
+  std::set<std::string> files;
+  glob_t matches;
+  if (::glob("/tmp/fdpbench_backing_*", 0, nullptr, &matches) == 0) {
+    for (size_t i = 0; i < matches.gl_pathc; ++i) {
+      files.insert(matches.gl_pathv[i]);
+    }
+  }
+  ::globfree(&matches);
+  return files;
+}
+
+// Whether /tmp lets one file grow to `bytes` (sparse), probed with a
+// throwaway file of its own.
+bool TmpAcceptsFileOf(uint64_t bytes) {
+  char path[] = "/tmp/fdpbench_probe_XXXXXX";
+  const int fd = ::mkstemp(path);
+  if (fd < 0) {
+    return false;
+  }
+  const bool accepted = ::ftruncate(fd, static_cast<off_t>(bytes)) == 0;
+  ::close(fd);
+  ::unlink(path);
+  return accepted;
+}
+
+// A backing that fails to open after its temp file was created must not
+// leave that file behind: the runner's constructor throws, so no destructor
+// of its own runs.
+TEST(HarnessTest, FailedBackingOpenRemovesItsTempFile) {
+  ExperimentConfig config = SmallExperiment(true);
+  config.backend = DeviceBackend::kFile;
+  config.num_superblocks = 100'000'000;  // ~188 TB: past ext4's file-size limit.
+  NandGeometry geometry;
+  geometry.pages_per_block = config.pages_per_block;
+  geometry.planes_per_die = config.planes_per_die;
+  geometry.num_dies = config.num_dies;
+  geometry.num_superblocks = config.num_superblocks;
+  const uint64_t backing_bytes =
+      Ftl::LogicalPages(geometry, config.device_op_fraction) * geometry.page_size_bytes;
+  if (TmpAcceptsFileOf(backing_bytes)) {
+    GTEST_SKIP() << "/tmp accepts a " << backing_bytes
+                 << "-byte file, so the backing open cannot be made to fail here";
+  }
+
+  const std::set<std::string> before = TempBackingFiles();
+  EXPECT_THROW({ ExperimentRunner runner(config); }, std::runtime_error);
+  EXPECT_EQ(TempBackingFiles(), before);
 }
 
 TEST(ReportTest, TextTableAlignsColumns) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -445,6 +446,16 @@ TEST(SharedDeviceBackendTest, ReplayDriverRunsOnSharedTopology) {
   backend.cache().Flush();
   backend.device(0).Drain();
   EXPECT_EQ(backend.shard_ssd(0).ftl().CheckInvariants(), "");
+}
+
+// Fewer logical pages than shards leaves every shard an empty partition: a
+// provisioning error the caller can catch, not an abort.
+TEST(SharedDeviceBackendTest, DeviceWithFewerPagesThanShardsThrows) {
+  ShardedBackendConfig config = SharedConfig(64);
+  config.ssd.geometry.planes_per_die = 1;
+  config.ssd.geometry.num_dies = 1;
+  config.ssd.geometry.num_superblocks = 4;  // 64 pages, 51 of them logical.
+  EXPECT_THROW({ ShardedSimBackend backend(config); }, std::runtime_error);
 }
 
 TEST(ConcurrentReplayDriverTest, ExecutesAllOpsAndMergesHistograms) {

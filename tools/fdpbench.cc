@@ -45,7 +45,7 @@ void PrintUsage() {
       "  --qd=1                            target device queue depth (1 = synchronous,\n"
       "                                    >1 pipelines flash writes through the device\n"
       "                                    queue pairs with a flush barrier at collection)\n"
-      "  --qps=1                           queue pairs per tenant device (tenant t's SOC\n"
+      "  --qps=1                           queue pairs of the shared device (tenant t's SOC\n"
       "                                    rides QP 2t %% qps, its LOC QP (2t+1) %% qps)\n"
       "  --lanes=0                         parallel execution lanes behind the device\n"
       "                                    arbiter (0 = inline dispatcher execution;\n"
@@ -217,7 +217,7 @@ int Run(int argc, char** argv) {
   // numbers, and what the kernel offers (so a "uring" run that silently fell
   // back to the thread pool is visible in the report).
   const char* engine = "virtual-clock";
-  if (auto* uring = dynamic_cast<UringFileDevice*>(runner->shared_device())) {
+  if (auto* uring = dynamic_cast<UringFileDevice*>(&runner->device())) {
     engine = uring->engine_name();
   } else if (config.backend == DeviceBackend::kFile) {
     engine = "sync";
