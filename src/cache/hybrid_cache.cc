@@ -9,7 +9,7 @@ HybridCache::HybridCache(Device* device, const HybridCacheConfig& config,
     : ram_(config.ram_bytes),
       navy_(std::make_unique<NavyCache>(device, config.navy, allocator, admission)) {
   ram_.set_eviction_callback(
-      [this](const std::string& key, const std::string& value) { OnRamEviction(key, value); });
+      [this](std::string_view key, std::string_view value) { OnRamEviction(key, value); });
 }
 
 HybridCache::~HybridCache() { DrainAsync(); }
@@ -20,20 +20,26 @@ void HybridCache::Set(std::string_view key, std::string_view value) {
   obs::ScopedRequest trace(obs::TraceOp::kSet);
   stats_.sets.fetch_add(1, std::memory_order_relaxed);
   // The freshest copy now lives in RAM; any flash copy is stale until the
-  // item is spilled again.
-  nvm_stale_.insert(std::string(key));
+  // item is spilled again. Re-marking a key that is already stale allocates
+  // nothing.
+  nvm_stale_.insert(KeyString(key));
   if (!ram_.Put(key, value)) {
     // Item larger than the whole DRAM budget: write straight to flash, and
     // drop any older (smaller) RAM copy that would otherwise serve stale.
     ram_.Remove(key);
     if (navy_->Insert(key, value)) {
-      nvm_stale_.erase(std::string(key));
+      nvm_stale_.erase(KeyString(key));
     }
   }
   DrainRunnable();
 }
 
-void HybridCache::OnRamEviction(const std::string& key, const std::string& value) {
+const std::string& HybridCache::KeyString(std::string_view key) {
+  key_buffer_.assign(key.data(), key.size());
+  return key_buffer_;
+}
+
+void HybridCache::OnRamEviction(std::string_view key, std::string_view value) {
   // DRAM eviction spills to flash (subject to admission). On success the
   // flash copy is current again. Inside an async operation the spill rides
   // the async machinery — the flash read-modify-write parks instead of
@@ -42,15 +48,15 @@ void HybridCache::OnRamEviction(const std::string& key, const std::string& value
   if (in_async_context_) {
     QueuedOp op;
     op.kind = QueuedOp::Kind::kSpill;
-    op.key = key;
-    op.value = value;
+    op.key = std::string(key);
+    op.value = std::string(value);
     // The spill is caused by (and charged to) the request that evicted.
     op.trace_id = obs::CurrentTraceId();
     EnqueueOp(std::move(op));
     return;
   }
   if (navy_->Insert(key, value)) {
-    nvm_stale_.erase(key);
+    nvm_stale_.erase(KeyString(key));
   }
 }
 
@@ -69,23 +75,29 @@ bool HybridCache::Get(std::string_view key, std::string* value) {
     return true;
   }
   stats_.nvm_lookups.fetch_add(1, std::memory_order_relaxed);
-  const std::string key_str(key);
-  if (nvm_stale_.count(key_str) == 0) {
+  if (nvm_stale_.count(KeyString(key)) == 0) {
     auto flash_value = navy_->Lookup(key);
     if (flash_value.has_value()) {
       stats_.nvm_hits.fetch_add(1, std::memory_order_relaxed);
-      if (value != nullptr) {
-        *value = *flash_value;
-      }
       // Promote to DRAM, like CacheLib's NVM-hit insertion. The promoted
       // copy matches flash, so the flash copy stays current. Skipped while
       // an async op holds this key's claim: promoting the pre-op flash
       // state would e.g. resurrect a key an in-flight RemoveAsync is about
       // to delete (returning the value is still fine — this Get overlaps
       // the async op). Free for purely blocking users (claims stay empty).
-      if (key_claims_.find(key_str) == key_claims_.end()) {
+      if (key_claims_.find(KeyString(key)) == key_claims_.end()) {
         ram_.Put(key, *flash_value);
-        nvm_stale_.erase(key_str);
+        nvm_stale_.erase(KeyString(key));
+      }
+      // DRAM holds its own copy now. A caller buffer that fits is kept, so
+      // a caller reusing one string keeps its capacity; a smaller one is
+      // replaced by the flash buffer instead of a fresh copy.
+      if (value != nullptr) {
+        if (value->capacity() >= flash_value->size()) {
+          value->assign(*flash_value);
+        } else {
+          *value = std::move(*flash_value);
+        }
       }
       // The flash lookup may have settled parked async ops (SettleBucketFor
       // on the spill path), unblocking same-key waiters; run them now like
@@ -120,7 +132,7 @@ void HybridCache::Remove(std::string_view key) {
   obs::ScopedRequest trace(obs::TraceOp::kRemove);
   ram_.Remove(key);
   navy_->Remove(key);
-  nvm_stale_.erase(std::string(key));
+  nvm_stale_.erase(KeyString(key));
   DrainRunnable();
 }
 

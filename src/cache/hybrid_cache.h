@@ -174,8 +174,14 @@ class HybridCache {
   };
 
   // Spill path for DRAM evictions (blocking, or async when the eviction
-  // happened inside an async operation).
-  void OnRamEviction(const std::string& key, const std::string& value);
+  // happened inside an async operation). The views point into the evicted
+  // DRAM node and are valid for the call only.
+  void OnRamEviction(std::string_view key, std::string_view value);
+
+  // `key` as a std::string for nvm_stale_ / key_claims_ lookups (C++17
+  // unordered containers have no heterogeneous lookup), staged in a reused
+  // buffer rather than a fresh temporary. Valid until the next call.
+  const std::string& KeyString(std::string_view key);
 
   // Admits an op into the pending-key table: runs it now if the key is
   // unclaimed, queues it behind the claim otherwise.
@@ -197,6 +203,7 @@ class HybridCache {
   // written to RAM and has not reached flash yet. CacheLib tracks the same
   // thing with in-memory NVM invalidation state; no device I/O involved.
   std::unordered_set<std::string> nvm_stale_;
+  std::string key_buffer_;  // KeyString's buffer.
 
   // Relaxed atomics rather than plain counters: TryRamGet (and through it
   // ShardedCache's lock-free hit path) bumps gets/ram_hits with no external

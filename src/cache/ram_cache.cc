@@ -1,8 +1,9 @@
 #include "src/cache/ram_cache.h"
 
+#include <algorithm>
+#include <limits>
+#include <new>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "src/common/epoch_reclaim.h"
 #include "src/common/hash.h"
@@ -21,6 +22,21 @@ size_t RoundUpPow2(size_t n) {
 }
 }  // namespace
 
+RamCache::Node* RamCache::Node::Create(std::string_view key, std::string_view value,
+                                       uint64_t stamp) {
+  void* block = ::operator new(sizeof(Node) + key.size() + value.size());
+  Node* node = new (block) Node(stamp, key.size(), value.size());
+  char* bytes = reinterpret_cast<char*>(node + 1);
+  key.copy(bytes, key.size());
+  value.copy(bytes + key.size(), value.size());
+  return node;
+}
+
+void RamCache::Node::Destroy(Node* node) {
+  node->~Node();
+  ::operator delete(node);
+}
+
 RamCache::RamCache(uint64_t budget_bytes, size_t num_buckets)
     : budget_(budget_bytes),
       num_buckets_(RoundUpPow2(num_buckets == 0 ? 1 : num_buckets)),
@@ -33,14 +49,14 @@ RamCache::~RamCache() {
     Node* n = buckets_[i].head.load(std::memory_order_relaxed);
     while (n != nullptr) {
       Node* next = n->next.load(std::memory_order_relaxed);
-      delete n;
+      Node::Destroy(n);
       n = next;
     }
   }
   Node* n = limbo_head_;
   while (n != nullptr) {
     Node* next = n->limbo_next;
-    delete n;
+    Node::Destroy(n);
     n = next;
   }
 }
@@ -57,7 +73,7 @@ RamCache::Node* RamCache::FindLocked(Bucket& bucket, std::string_view key,
   // suffice here.
   Node* prev = nullptr;
   Node* cur = bucket.head.load(std::memory_order_relaxed);
-  while (cur != nullptr && cur->key != key) {
+  while (cur != nullptr && cur->key() != key) {
     prev = cur;
     cur = cur->next.load(std::memory_order_relaxed);
   }
@@ -87,7 +103,6 @@ void RamCache::UnlinkLocked(Bucket& bucket, Node* node, Node* pred) {
   }
   // node->next is deliberately left intact: a reader parked on `node` keeps
   // walking into the live suffix of the chain.
-  node->unlinked = true;
   bucket.version.fetch_add(1, std::memory_order_release);
 }
 
@@ -99,43 +114,50 @@ bool RamCache::Put(std::string_view key, std::string_view value) {
     return false;
   }
   const uint64_t stamp = NextTick();
-  Node* fresh = new Node(key, value, stamp);
+  Node* fresh = Node::Create(key, value, stamp);
   Bucket& bucket = BucketFor(key);
   Node* old = nullptr;
+  NodeChain retired;  // The replaced node (if any), then eviction victims.
   {
     CountLockAcquisition();
-    fdp::MutexLock lock(&bucket.mu);
-    Node* pred = nullptr;
-    old = FindLocked(bucket, key, &pred);
-    if (old != nullptr) {
-      // Update = replace: unlink the old node (readers mid-walk retry via
-      // the version bump) and publish the immutable replacement at head.
-      UnlinkLocked(bucket, old, pred);
-      used_.fetch_sub(ItemBytes(old->key, old->value),
-                      std::memory_order_relaxed);
-    } else {
-      count_.fetch_add(1, std::memory_order_relaxed);
+    fdp::MutexLock evict_lock(&evict_mu_);
+    {
+      CountLockAcquisition();
+      fdp::MutexLock lock(&bucket.mu);
+      Node* pred = nullptr;
+      old = FindLocked(bucket, key, &pred);
+      if (old != nullptr) {
+        // Update = replace: unlink the old node (readers mid-walk retry via
+        // the version bump) and publish the immutable replacement at head.
+        UnlinkLocked(bucket, old, pred);
+        used_.fetch_sub(ItemBytes(old), std::memory_order_relaxed);
+      } else {
+        count_.fetch_add(1, std::memory_order_relaxed);
+      }
+      fresh->next.store(bucket.head.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      bucket.head.store(fresh, std::memory_order_release);
+      used_.fetch_add(need, std::memory_order_relaxed);
     }
-    fresh->next.store(bucket.head.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    bucket.head.store(fresh, std::memory_order_release);
-    used_.fetch_add(need, std::memory_order_relaxed);
-  }
-  {
-    CountLockAcquisition();
-    fdp::MutexLock lock(&evict_mu_);
-    if (old != nullptr && old->in_lru) {
+    if (old != nullptr) {
       lru_by_stamp_.erase(old->lru_key);
-      old->in_lru = false;
+      retired.Push(old);
     }
     lru_by_stamp_.emplace(stamp, fresh);
     fresh->lru_key = stamp;
-    fresh->in_lru = true;
+    if (used_.load(std::memory_order_relaxed) > budget_) EvictToBudget(&retired);
   }
-  if (old != nullptr) Retire(old);
-  if (used_.load(std::memory_order_relaxed) > budget_) EvictToBudget();
+  // The victims are unlinked and out of the index, so no other writer can
+  // reach (let alone retire) them: their bytes stay valid through the
+  // callbacks with no copy and no epoch guard.
+  if (on_evict_) {
+    for (const Node* n = old != nullptr ? old->limbo_next : retired.head; n != nullptr;
+         n = n->limbo_next) {
+      on_evict_(n->key(), n->value());
+    }
+  }
+  Retire(retired);
   if (limbo_count_.load(std::memory_order_relaxed) >= kReapThreshold) {
-    ReapDeferred();
+    Reclaim(std::max(kReapBatch, retired.size));
   }
   return true;
 }
@@ -147,14 +169,14 @@ bool RamCache::Get(std::string_view key, std::string* value) {
   for (uint64_t spins = 0;; ++spins) {
     const uint64_t v1 = bucket.version.load(std::memory_order_acquire);
     Node* n = bucket.head.load(std::memory_order_acquire);
-    while (n != nullptr && n->key != key) {
+    while (n != nullptr && n->key() != key) {
       n = n->next.load(std::memory_order_acquire);
     }
     if (n != nullptr) {
       // Hits need no validation: the node is immutable and was published
       // with a release store, so its key/value are fully constructed, and
       // the epoch guard keeps it allocated even if concurrently unlinked.
-      if (value != nullptr) value->assign(n->value);
+      if (value != nullptr) value->assign(n->value());
       n->stamp.store(NextTick(), std::memory_order_relaxed);  // LRU touch.
       stats_.hits.fetch_add(1, std::memory_order_relaxed);
       return true;
@@ -177,7 +199,7 @@ bool RamCache::Contains(std::string_view key) const {
   for (uint64_t spins = 0;; ++spins) {
     const uint64_t v1 = bucket.version.load(std::memory_order_acquire);
     Node* n = bucket.head.load(std::memory_order_acquire);
-    while (n != nullptr && n->key != key) {
+    while (n != nullptr && n->key() != key) {
       n = n->next.load(std::memory_order_acquire);
     }
     if (n != nullptr) return true;
@@ -192,121 +214,107 @@ bool RamCache::Contains(std::string_view key) const {
 
 bool RamCache::Remove(std::string_view key) {
   Bucket& bucket = BucketFor(key);
-  Node* victim = nullptr;
-  {
-    CountLockAcquisition();
-    fdp::MutexLock lock(&bucket.mu);
-    Node* pred = nullptr;
-    victim = FindLocked(bucket, key, &pred);
-    if (victim == nullptr) return false;
-    UnlinkLocked(bucket, victim, pred);
-    used_.fetch_sub(ItemBytes(victim->key, victim->value),
-                    std::memory_order_relaxed);
-    count_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  {
-    CountLockAcquisition();
-    fdp::MutexLock lock(&evict_mu_);
-    if (victim->in_lru) {
-      lru_by_stamp_.erase(victim->lru_key);
-      victim->in_lru = false;
-    }
-  }
-  Retire(victim);
-  return true;
-}
-
-void RamCache::EvictToBudget() {
-  // Victim key/value are copied out under the locks (another writer could
-  // retire the node the moment we release them); callbacks fire at the end,
-  // outside all locks, in eviction order.
-  std::vector<std::pair<std::string, std::string>> victims;
+  NodeChain removed;
   {
     CountLockAcquisition();
     fdp::MutexLock evict_lock(&evict_mu_);
-    while (used_.load(std::memory_order_relaxed) > budget_ &&
-           !lru_by_stamp_.empty()) {
-      const auto it = lru_by_stamp_.begin();
-      const uint64_t recorded = it->first;
-      Node* node = it->second;
-      Bucket& bucket = BucketFor(node->key);
+    CountLockAcquisition();
+    fdp::MutexLock lock(&bucket.mu);
+    Node* pred = nullptr;
+    Node* victim = FindLocked(bucket, key, &pred);
+    if (victim == nullptr) return false;
+    UnlinkLocked(bucket, victim, pred);
+    used_.fetch_sub(ItemBytes(victim), std::memory_order_relaxed);
+    count_.fetch_sub(1, std::memory_order_relaxed);
+    lru_by_stamp_.erase(victim->lru_key);
+    removed.Push(victim);
+  }
+  Retire(removed);
+  return true;
+}
+
+void RamCache::EvictToBudget(NodeChain* victims) {
+  while (used_.load(std::memory_order_relaxed) > budget_ && !lru_by_stamp_.empty()) {
+    const auto it = lru_by_stamp_.begin();
+    const uint64_t recorded = it->first;
+    Node* node = it->second;
+    const uint64_t actual = node->stamp.load(std::memory_order_relaxed);
+    if (actual != recorded) {
+      // Lazy repair: the node was touched since it was indexed. Re-file
+      // it at its actual stamp and re-pick. The loop terminates at a node
+      // whose recorded == actual stamp, which is then <= every other
+      // recorded key <= its node's actual stamp — the global minimum, so
+      // eviction order matches exact LRU whenever calls are serialized.
+      lru_by_stamp_.erase(it);
+      lru_by_stamp_.emplace(actual, node);
+      node->lru_key = actual;
+      continue;
+    }
+    Bucket& bucket = BucketFor(node->key());
+    {
       CountLockAcquisition();
       fdp::MutexLock bucket_lock(&bucket.mu);
-      if (node->unlinked) {
-        // A concurrent Remove/update beat us to it; drop the stale entry.
-        node->in_lru = false;
-        lru_by_stamp_.erase(it);
-        continue;
-      }
-      const uint64_t actual = node->stamp.load(std::memory_order_relaxed);
-      if (actual != recorded) {
-        // Lazy repair: the node was touched since it was indexed. Re-file
-        // it at its actual stamp and re-pick. The loop terminates at a node
-        // whose recorded == actual stamp, which is then <= every other
-        // recorded key <= its node's actual stamp — the global minimum, so
-        // eviction order matches exact LRU whenever calls are serialized.
-        bucket_lock.Unlock();
-        lru_by_stamp_.erase(it);
-        lru_by_stamp_.emplace(actual, node);
-        node->lru_key = actual;
-        continue;
-      }
       UnlinkLocked(bucket, node, PredOfLocked(bucket, node));
-      used_.fetch_sub(ItemBytes(node->key, node->value),
-                      std::memory_order_relaxed);
-      count_.fetch_sub(1, std::memory_order_relaxed);
-      stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-      victims.emplace_back(node->key, node->value);
-      bucket_lock.Unlock();
-      node->in_lru = false;
-      lru_by_stamp_.erase(it);
-      Retire(node);
     }
-  }
-  if (on_evict_) {
-    for (const auto& kv : victims) on_evict_(kv.first, kv.second);
+    used_.fetch_sub(ItemBytes(node), std::memory_order_relaxed);
+    count_.fetch_sub(1, std::memory_order_relaxed);
+    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+    lru_by_stamp_.erase(it);
+    victims->Push(node);
   }
 }
 
-void RamCache::Retire(Node* node) {
-  node->retire_epoch = EpochRegistry::Instance().CurrentEpoch();
+void RamCache::Retire(const NodeChain& chain) {
+  if (chain.head == nullptr) return;
   CountLockAcquisition();
   fdp::MutexLock lock(&limbo_mu_);
-  node->limbo_next = limbo_head_;
-  limbo_head_ = node;
-  limbo_count_.fetch_add(1, std::memory_order_relaxed);
+  // Tagging under limbo_mu_ keeps the FIFO sorted by retire epoch: the
+  // epoch only grows, and appends are serialized here.
+  const uint64_t epoch = EpochRegistry::Instance().CurrentEpoch();
+  for (Node* n = chain.head; n != nullptr; n = n->limbo_next) n->retire_epoch = epoch;
+  if (limbo_tail_ == nullptr) {
+    limbo_head_ = chain.head;
+  } else {
+    limbo_tail_->limbo_next = chain.head;
+  }
+  limbo_tail_ = chain.tail;
+  limbo_count_.fetch_add(chain.size, std::memory_order_relaxed);
 }
 
-size_t RamCache::ReapDeferred() {
+size_t RamCache::Reclaim(size_t limit) {
   EpochRegistry& registry = EpochRegistry::Instance();
   registry.AdvanceEpoch();
   const uint64_t min_active = registry.MinActiveEpoch();
   Node* reclaimable = nullptr;
+  size_t taken = 0;
   {
     CountLockAcquisition();
     fdp::MutexLock lock(&limbo_mu_);
-    Node** link = &limbo_head_;
-    while (*link != nullptr) {
-      Node* n = *link;
-      if (n->retire_epoch + 2 <= min_active) {
-        *link = n->limbo_next;
-        n->limbo_next = reclaimable;
-        reclaimable = n;
-        limbo_count_.fetch_sub(1, std::memory_order_relaxed);
-      } else {
-        link = &n->limbo_next;
-      }
+    Node* last = nullptr;
+    for (Node* n = limbo_head_; n != nullptr && taken < limit; n = n->limbo_next) {
+      // Oldest first: the first node still in its grace period ends the
+      // sweep, since every node behind it was retired no earlier.
+      if (n->retire_epoch + 2 > min_active) break;
+      last = n;
+      ++taken;
+    }
+    if (last != nullptr) {
+      reclaimable = limbo_head_;
+      limbo_head_ = last->limbo_next;
+      if (limbo_head_ == nullptr) limbo_tail_ = nullptr;
+      last->limbo_next = nullptr;
+      limbo_count_.fetch_sub(taken, std::memory_order_relaxed);
     }
   }
-  size_t freed = 0;
   while (reclaimable != nullptr) {
     Node* n = reclaimable;
     reclaimable = n->limbo_next;
-    delete n;
-    ++freed;
+    Node::Destroy(n);
   }
-  return freed;
+  return taken;
 }
+
+size_t RamCache::ReapDeferred() { return Reclaim(std::numeric_limits<size_t>::max()); }
 
 RamCacheStats RamCache::stats() const {
   RamCacheStats snapshot;

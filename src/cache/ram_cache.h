@@ -3,8 +3,9 @@
 //
 // Layout: the key space is sharded-within-shard into `num_buckets` chained
 // hash buckets. Each bucket holds an atomic head pointer to a singly-linked
-// chain of IMMUTABLE nodes (key and value are const; an update replaces the
-// node) plus a seqlock-style version counter:
+// chain of IMMUTABLE nodes plus a seqlock-style version counter. A node is
+// one heap block: its header, then the key bytes, then the value bytes (one
+// allocation per item; an update replaces the node, never edits it).
 //
 //   Readers (Get/Contains) take NO mutex. They snapshot the bucket version,
 //   walk the chain through acquire-loads, and on a miss re-validate the
@@ -15,18 +16,25 @@
 //   any node a reader can reach is fully constructed and its value safe to
 //   copy.
 //
-//   Writers (Put/Remove/eviction) serialize per bucket on `Bucket::mu` and
-//   bump the version to odd before any unlink and back to even after.
-//   Unlinking leaves the victim's `next` pointer intact, so an in-flight
-//   reader parked on the victim still reaches the rest of the chain.
+//   Writers (Put/Remove/eviction) hold the eviction-index mutex and then
+//   the bucket mutex, and bump the version to odd before any unlink and
+//   back to even after. A node is therefore linked exactly while it is in
+//   the eviction index, and both change under the same locks — no other
+//   writer can unlink (and retire) a node between its link and its index
+//   entry. Unlinking leaves the victim's `next` pointer intact, so an
+//   in-flight reader parked on the victim still reaches the rest of the
+//   chain.
 //
-//   Reclamation is deferred, RCU-style: unlinked nodes retire into a limbo
-//   list tagged with the global epoch (src/common/epoch_reclaim.h) and are
-//   freed by ReapDeferred() only after every reader that could hold a
-//   reference has exited — retire_epoch + 2 <= min active epoch. The owner
-//   (HybridCache) rides its pending-op pump to call ReapDeferred(); writers
-//   also self-trigger a reap when limbo grows past a threshold so blocking
-//   workloads don't leak.
+//   Reclamation is deferred, RCU-style: unlinked nodes retire into a FIFO
+//   limbo list tagged with the global epoch (src/common/epoch_reclaim.h),
+//   and a node is freed only after every reader that could hold a reference
+//   has exited — retire_epoch + 2 <= min active epoch. Tags are drawn under
+//   the limbo mutex, so the FIFO is ordered by retire epoch and a sweep
+//   stops at the first node still in its grace period. Reclamation is paced:
+//   once kReapThreshold nodes wait, each Put frees at most kReapBatch of the
+//   oldest (and at least as many as it retired), so no single write pays for
+//   the whole list. ReapDeferred() is the full sweep; the owner
+//   (HybridCache) rides its pending-op pump to call it.
 //
 // LRU is exact when calls are serialized and approximate under concurrency:
 // every Put and Get-hit draws a fresh tick from a per-cache counter and
@@ -43,7 +51,9 @@
 // flash — the write path that makes flash caching write-intensive (paper
 // §2.3: "evictions upon read from DRAM translate to writes on Flash").
 // Callbacks fire after ALL internal locks are released, in eviction order,
-// so they may re-enter the cache freely.
+// so they may re-enter the cache freely. They receive views of the victim
+// node itself, not copies: the evicting Put owns its unlinked victims
+// exclusively and retires them only after the last callback returns.
 #ifndef SRC_CACHE_RAM_CACHE_H_
 #define SRC_CACHE_RAM_CACHE_H_
 
@@ -78,13 +88,22 @@ class RamCache {
  public:
   // Invoked once per evicted item, after the victim has been unlinked, the
   // cache's invariants restored, and all internal locks released — safe for
-  // the callback to reenter this cache.
-  using EvictionCallback =
-      std::function<void(const std::string& key, const std::string& value)>;
+  // the callback to reenter this cache. The views point into the victim's
+  // node and stay valid until the callback returns; copy what must outlive
+  // the call.
+  using EvictionCallback = std::function<void(std::string_view key, std::string_view value)>;
 
   // Per-item bookkeeping overhead charged against the budget, approximating
   // CacheLib's item header + hashtable bucket.
   static constexpr uint64_t kPerItemOverhead = 64;
+
+  // Reclamation pacing: once this many retired nodes wait in limbo, each Put
+  // frees up to max(kReapBatch, nodes it retired) of the oldest whose grace
+  // period has passed. Purely blocking callers (no pump) still bound memory,
+  // and no single write frees more than a small batch. Under steady writes
+  // limbo holds about kReapThreshold nodes, so the threshold stays small.
+  static constexpr size_t kReapThreshold = 64;
+  static constexpr size_t kReapBatch = 8;
 
   explicit RamCache(uint64_t budget_bytes, size_t num_buckets = 1024);
   ~RamCache();
@@ -107,16 +126,13 @@ class RamCache {
 
   bool Remove(std::string_view key);
 
-  // Frees retired nodes whose grace period has elapsed (advances the global
-  // epoch first). Returns the number of nodes freed. The owner should call
-  // this from its completion pump; writers also self-trigger past
-  // kReapThreshold retired nodes.
+  // Frees every retired node whose grace period has elapsed (advances the
+  // global epoch first). Returns the number of nodes freed. The owner should
+  // call this from its completion pump; Puts reclaim in bounded batches.
   size_t ReapDeferred();
 
   // Unlinked nodes awaiting their grace period.
-  size_t deferred_nodes() const {
-    return limbo_count_.load(std::memory_order_relaxed);
-  }
+  size_t deferred_nodes() const { return limbo_count_.load(std::memory_order_relaxed); }
 
   uint64_t used_bytes() const { return used_.load(std::memory_order_relaxed); }
   uint64_t budget_bytes() const { return budget_; }
@@ -124,12 +140,16 @@ class RamCache {
   RamCacheStats stats() const;
 
  private:
+  // One heap block per item: this header, then the key bytes, then the
+  // value bytes. Key and value never change once the node is published, so
+  // lock-free readers may view them with no lock.
   struct Node {
-    Node(std::string_view k, std::string_view v, uint64_t initial_stamp)
-        : key(k), value(v), stamp(initial_stamp) {}
+    static Node* Create(std::string_view key, std::string_view value, uint64_t stamp);
+    static void Destroy(Node* node);
 
-    const std::string key;    // Immutable: safe to read with no lock.
-    const std::string value;  // Immutable: an update replaces the node.
+    std::string_view key() const { return {Bytes(), key_size}; }
+    std::string_view value() const { return {Bytes() + key_size, value_size}; }
+
     // Last-access tick; stored relaxed by lock-free readers (LRU touch).
     std::atomic<uint64_t> stamp;
     std::atomic<Node*> next{nullptr};
@@ -137,11 +157,36 @@ class RamCache {
     // GUARDED_BY is inexpressible here (a nested struct cannot name the
     // owning RamCache's members), so the guards stay documented as comments;
     // the functions that touch them carry REQUIRES on the owning mutex.
-    Node* limbo_next = nullptr;  // Guarded by limbo_mu_.
-    uint64_t retire_epoch = 0;   // Guarded by limbo_mu_.
-    uint64_t lru_key = 0;        // Recorded index stamp; guarded by evict_mu_.
-    bool in_lru = false;         // Guarded by evict_mu_.
-    bool unlinked = false;       // Guarded by the owning bucket's mu.
+    // Chains unlinked nodes: an evicting Put's private victim list, then
+    // the limbo FIFO (guarded by limbo_mu_).
+    Node* limbo_next = nullptr;
+    uint64_t retire_epoch = 0;  // Guarded by limbo_mu_.
+    uint64_t lru_key = 0;       // Recorded index stamp; guarded by evict_mu_.
+    const size_t key_size;
+    const size_t value_size;
+
+   private:
+    Node(uint64_t initial_stamp, size_t key_bytes, size_t value_bytes)
+        : stamp(initial_stamp), key_size(key_bytes), value_size(value_bytes) {}
+    const char* Bytes() const { return reinterpret_cast<const char*>(this + 1); }
+  };
+
+  // Unlinked nodes chained through limbo_next, in unlink order.
+  struct NodeChain {
+    Node* head = nullptr;
+    Node* tail = nullptr;
+    size_t size = 0;
+
+    void Push(Node* node) {
+      node->limbo_next = nullptr;
+      if (tail == nullptr) {
+        head = node;
+      } else {
+        tail->limbo_next = node;
+      }
+      tail = node;
+      ++size;
+    }
   };
 
   struct alignas(64) Bucket {
@@ -150,18 +195,15 @@ class RamCache {
     // (pure inserts can't cause a false miss, so they don't pay the bump).
     std::atomic<uint64_t> version{0};
     // Writer serialization only — readers never take it. All buckets share
-    // one rank (one bucket lock held at a time; EvictToBudget nests it
-    // under evict_mu_).
+    // one rank (one bucket lock held at a time, always nested under
+    // evict_mu_).
     fdp::Mutex mu{lock_rank::Make(lock_rank::kRamBucket), "ram_bucket"};
   };
-
-  // Writers self-reap once this many nodes sit in limbo, so purely blocking
-  // callers (no pump) still bound memory.
-  static constexpr size_t kReapThreshold = 256;
 
   static uint64_t ItemBytes(std::string_view key, std::string_view value) {
     return key.size() + value.size() + kPerItemOverhead;
   }
+  static uint64_t ItemBytes(const Node* node) { return ItemBytes(node->key(), node->value()); }
 
   Bucket& BucketFor(std::string_view key) const;
   uint64_t NextTick() { return tick_.fetch_add(1, std::memory_order_relaxed); }
@@ -179,11 +221,15 @@ class RamCache {
   // leaving node->next intact for in-flight readers.
   static void UnlinkLocked(Bucket& bucket, Node* node, Node* pred) REQUIRES(bucket.mu);
 
-  // Moves an unlinked node to limbo, tagged with the current epoch.
-  void Retire(Node* node);
-  // Evicts minimum-stamp nodes until used_ <= budget_, then fires eviction
-  // callbacks (outside all locks, in eviction order).
-  void EvictToBudget();
+  // Unlinks minimum-stamp nodes until used_ <= budget_, appending them to
+  // `victims` in eviction order.
+  void EvictToBudget(NodeChain* victims) REQUIRES(evict_mu_);
+  // Appends a chain to the limbo FIFO, tagged with the current epoch (no-op
+  // for an empty chain).
+  void Retire(const NodeChain& chain);
+  // Frees up to `limit` of the oldest retired nodes whose grace period has
+  // elapsed (advances the global epoch first). Returns the number freed.
+  size_t Reclaim(size_t limit);
 
   const uint64_t budget_;
   const size_t num_buckets_;  // Power of two.
@@ -193,14 +239,17 @@ class RamCache {
   std::atomic<size_t> count_{0};
   std::atomic<uint64_t> tick_{1};
 
-  // Eviction index: recorded stamp -> node. Stamps are globally unique
-  // (drawn from tick_), so the key never collides. Ranks BEFORE the bucket
-  // locks: EvictToBudget holds it while locking victims' buckets.
+  // Eviction index: recorded stamp -> node, holding exactly the linked
+  // nodes. Stamps are globally unique (drawn from tick_), so the key never
+  // collides. Ranks BEFORE the bucket locks: every writer holds it while
+  // locking a bucket.
   mutable fdp::Mutex evict_mu_{lock_rank::Make(lock_rank::kRamEvict), "ram_evict"};
   std::map<uint64_t, Node*> lru_by_stamp_ GUARDED_BY(evict_mu_);
 
+  // FIFO of retired nodes, oldest (smallest retire_epoch) at the head.
   mutable fdp::Mutex limbo_mu_{lock_rank::Make(lock_rank::kRamLimbo), "ram_limbo"};
   Node* limbo_head_ GUARDED_BY(limbo_mu_) = nullptr;
+  Node* limbo_tail_ GUARDED_BY(limbo_mu_) = nullptr;
   std::atomic<size_t> limbo_count_{0};
 
   EvictionCallback on_evict_;

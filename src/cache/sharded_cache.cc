@@ -160,7 +160,8 @@ void ShardedCache::Set(std::string_view key, std::string_view value) {
     fdp::MutexLock lock(&shard.mu, fdp::kAdoptLock);
     // Any DRAM eviction this triggers spills to flash from inside the call,
     // still under this shard's lock — safe, because the spill path only
-    // touches this shard's own tiers (see RamCache::EvictOne).
+    // touches this shard's own tiers (RamCache::Put fires its eviction
+    // callbacks after releasing its own locks; see HybridCache::OnRamEviction).
     shard.cache->Set(key, value);
     TakeFired(shard, &fired);
   }

@@ -24,6 +24,13 @@ EpochRegistry::Slot* EpochRegistry::SlotForThisThread() {
     bool expected = false;
     if (reg.slots_[i].claimed.compare_exchange_strong(
             expected, true, std::memory_order_acq_rel)) {
+      // Raise the scan limit before this thread's first announce. Both are
+      // seq_cst, so a reclaimer whose limit load misses slot i advanced the
+      // epoch before our announce reads it — it needs no look at slot i.
+      uint32_t limit = reg.slot_limit_.load(std::memory_order_seq_cst);
+      while (limit <= i && !reg.slot_limit_.compare_exchange_weak(
+                               limit, i + 1, std::memory_order_seq_cst)) {
+      }
       tls.slot = &reg.slots_[i];
       return tls.slot;
     }
@@ -70,7 +77,8 @@ EpochRegistry::ReadGuard::~ReadGuard() {
 uint64_t EpochRegistry::MinActiveEpoch() const {
   if (overflow_readers_.load(std::memory_order_seq_cst) != 0) return 0;
   uint64_t min = epoch_.load(std::memory_order_seq_cst);
-  for (uint32_t i = 0; i < kMaxSlots; ++i) {
+  const uint32_t limit = slot_limit_.load(std::memory_order_seq_cst);
+  for (uint32_t i = 0; i < limit; ++i) {
     uint64_t e = slots_[i].epoch.load(std::memory_order_acquire);
     if (e != 0 && e < min) min = e;
   }
@@ -79,7 +87,8 @@ uint64_t EpochRegistry::MinActiveEpoch() const {
 
 uint32_t EpochRegistry::ActiveReaders() const {
   uint32_t n = overflow_readers_.load(std::memory_order_seq_cst);
-  for (uint32_t i = 0; i < kMaxSlots; ++i) {
+  const uint32_t limit = slot_limit_.load(std::memory_order_seq_cst);
+  for (uint32_t i = 0; i < limit; ++i) {
     if (slots_[i].epoch.load(std::memory_order_acquire) != 0) ++n;
   }
   return n;

@@ -20,6 +20,11 @@
 // operations (a seq_cst exchange to announce, a release store to leave) —
 // no shared-line RMW contention between readers on different slots (slots
 // are cache-line padded).
+//
+// Reclaim-side cost: a grace check scans reader slots, but only up to the
+// highest slot any thread has ever claimed (a high-water mark raised before
+// the claiming thread's first announce), not all kMaxSlots — a handful of
+// cache lines for the thread counts the harness and tests run.
 #ifndef SRC_COMMON_EPOCH_RECLAIM_H_
 #define SRC_COMMON_EPOCH_RECLAIM_H_
 
@@ -62,10 +67,12 @@ class EpochRegistry {
   // Smallest epoch announced by any active reader, or CurrentEpoch() when no
   // reader is active. A retired node tagged `t` is safe to free once
   // t + 2 <= MinActiveEpoch(). Returns 0 (blocking all reclamation) while
-  // any overflow reader is active.
+  // any overflow reader is active. Scans slots below the claim high-water
+  // mark only.
   uint64_t MinActiveEpoch() const;
 
-  // Active-reader count, for tests.
+  // Active-reader count (slots below the high-water mark plus overflow
+  // readers), for tests and the metrics exporter.
   uint32_t ActiveReaders() const;
 
  private:
@@ -83,6 +90,9 @@ class EpochRegistry {
   Slot* SlotForThisThread();
 
   Slot slots_[kMaxSlots];
+  // One past the highest slot index any thread has claimed. Only grows: a
+  // slot released by an exiting thread stays below it (and reads 0).
+  std::atomic<uint32_t> slot_limit_{0};
   std::atomic<uint64_t> epoch_{1};
   std::atomic<uint32_t> overflow_readers_{0};
 

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,7 +111,7 @@ TEST(RamLockfreeTest, TortureReadersVsWritersAndEviction) {
   RamCache cache(24 * item_bytes, /*num_buckets=*/4);
   std::atomic<uint64_t> evictions{0};
   cache.set_eviction_callback(
-      [&](const std::string&, const std::string&) { evictions.fetch_add(1); });
+      [&](std::string_view, std::string_view) { evictions.fetch_add(1); });
 
   std::vector<std::string> keys;
   for (int i = 0; i < kKeys; ++i) {
@@ -278,6 +280,144 @@ TEST(RamLockfreeTest, RetryCounterAdvancesUnderForcedInvalidation) {
   if (std::thread::hardware_concurrency() >= 2) {
     EXPECT_GT(cache.stats().optimistic_retries, 0u);
   }
+}
+
+TEST(RamLockfreeTest, SameKeyPutRemoveRaceWithReaperKeepsIndexSound) {
+  // A putter and a remover race on the same 8 keys while a third thread
+  // reaps limbo nonstop. The budget holds 6 of the 8 items, so the putter's
+  // own Puts evict through the index. A node must never be unlinked and
+  // retired between its link and its eviction-index entry: if it could, the
+  // reaper would free it while its Put still writes the index (a
+  // use-after-free under ASan), and the index would keep a dangling entry
+  // for a later eviction to dereference.
+  constexpr int kKeys = 8;
+  constexpr int kPuts = 100000;
+  const std::string value(48, 'v');
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) keys.push_back("same-key-" + std::to_string(i));
+  const uint64_t item_bytes = keys[0].size() + value.size() + RamCache::kPerItemOverhead;
+  RamCache cache(6 * item_bytes, /*num_buckets=*/4);
+
+  std::atomic<bool> stop{false};
+  std::thread remover([&] {
+    for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      cache.Remove(keys[i % kKeys]);
+    }
+  });
+  std::thread reaper([&] {
+    while (!stop.load(std::memory_order_relaxed)) cache.ReapDeferred();
+  });
+  for (int i = 0; i < kPuts; ++i) {
+    ASSERT_TRUE(cache.Put(keys[i % kKeys], value));
+    ASSERT_LE(cache.used_bytes(), cache.budget_bytes());
+  }
+  stop.store(true);
+  remover.join();
+  reaper.join();
+
+  // Chains, byte count and index still agree: removing every key empties
+  // the cache, and a refill evicts through an index with no stale entries.
+  for (const std::string& key : keys) cache.Remove(key);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.used_bytes(), 0u);
+  const uint64_t evictions_before = cache.stats().evictions;
+  for (int i = 0; i < 4 * kKeys; ++i) ASSERT_TRUE(cache.Put(keys[i % kKeys], value));
+  // Cycling 8 keys through room for 6 misses every time past the first 6.
+  EXPECT_EQ(cache.size(), 6u);
+  EXPECT_EQ(cache.stats().evictions - evictions_before, 4u * kKeys - 6u);
+  for (int i = 0; i < 4 && cache.deferred_nodes() > 0; ++i) cache.ReapDeferred();
+  EXPECT_EQ(cache.deferred_nodes(), 0u);
+}
+
+TEST(RamLockfreeTest, PutReclaimsInBoundedBatches) {
+  // Single-threaded updates: every Put retires one node. Once limbo reaches
+  // kReapThreshold, each Put frees at most kReapBatch of the oldest nodes
+  // (and at least the one it retired), so limbo stays just above the
+  // threshold and no single write frees the whole list.
+  constexpr int kKeys = 512;
+  constexpr int kUpdates = 100000;
+  RamCache cache(64 << 20, /*num_buckets=*/64);
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) {
+    keys.push_back("update-key-" + std::to_string(i));
+    ASSERT_TRUE(cache.Put(keys.back(), MakePayload(keys.back(), 0)));
+  }
+  ASSERT_EQ(cache.deferred_nodes(), 0u);
+  size_t largest_drop = 0;
+  size_t peak = 0;
+  for (int i = 0; i < kUpdates; ++i) {
+    const size_t before = cache.deferred_nodes();
+    const std::string& key = keys[i % kKeys];
+    ASSERT_TRUE(cache.Put(key, MakePayload(key, static_cast<uint64_t>(i) + 1)));
+    const size_t after = cache.deferred_nodes();
+    if (after < before) largest_drop = std::max(largest_drop, before - after);
+    peak = std::max(peak, after);
+  }
+  EXPECT_LE(largest_drop, RamCache::kReapBatch);
+  EXPECT_GT(largest_drop, 0u) << "updates never reclaimed anything";
+  EXPECT_LT(peak, RamCache::kReapThreshold + RamCache::kReapBatch);
+  EXPECT_GE(peak, RamCache::kReapThreshold);
+
+  // A Put that retires more than a batch (one large insert evicting many
+  // small items) frees at least as many as it retired: limbo does not grow.
+  RamCache small(64 * (14 + 16 + RamCache::kPerItemOverhead), /*num_buckets=*/16);
+  for (int i = 0; i < 4000; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "small-%08d", i % 64);
+    ASSERT_TRUE(small.Put(key, std::string(16, 's')));
+  }
+  // Steady state: limbo cycles between threshold - batch and threshold.
+  ASSERT_GE(small.deferred_nodes(), RamCache::kReapThreshold - RamCache::kReapBatch);
+  const size_t limbo_before = small.deferred_nodes();
+  const uint64_t evicted_before = small.stats().evictions;
+  // Needs the room of ~17 small items: more than a batch, fewer than the
+  // nodes already past their grace period.
+  ASSERT_TRUE(small.Put("large", std::string(16 * (30 + RamCache::kPerItemOverhead), 'L')));
+  ASSERT_GT(small.stats().evictions - evicted_before, RamCache::kReapBatch);
+  EXPECT_LE(small.deferred_nodes(), limbo_before);
+}
+
+TEST(RamLockfreeTest, ReaderOnHighestClaimedSlotPinsReclamation) {
+  // Reclaimers scan reader slots only up to the highest slot ever claimed.
+  // Park filler threads on the lowest free slots, then start a reader that
+  // must claim a slot above all of them and beyond any earlier high-water
+  // mark; the node it may see must stay in limbo until it leaves.
+  constexpr int kFillers = 40;
+  std::atomic<int> claimed{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> fillers;
+  for (int i = 0; i < kFillers; ++i) {
+    fillers.emplace_back([&] {
+      { EpochRegistry::ReadGuard claim; }  // Claims a slot for this thread's life.
+      claimed.fetch_add(1);
+      while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  }
+  while (claimed.load() < kFillers) std::this_thread::yield();
+
+  RamCache cache(1 << 20, /*num_buckets=*/4);
+  ASSERT_TRUE(cache.Put("pinned", MakePayload("pinned", 1)));
+  std::atomic<bool> reading{false};
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    EpochRegistry::ReadGuard guard;
+    reading.store(true);
+    while (!done.load()) std::this_thread::yield();
+  });
+  while (!reading.load()) std::this_thread::yield();
+
+  ASSERT_TRUE(cache.Remove("pinned"));
+  ASSERT_EQ(cache.deferred_nodes(), 1u);
+  for (int i = 0; i < 4; ++i) cache.ReapDeferred();
+  EXPECT_EQ(cache.deferred_nodes(), 1u) << "freed under a reader on the highest slot";
+  EXPECT_GE(EpochRegistry::Instance().ActiveReaders(), 1u);
+
+  done.store(true);
+  reader.join();
+  for (int i = 0; i < 4 && cache.deferred_nodes() > 0; ++i) cache.ReapDeferred();
+  EXPECT_EQ(cache.deferred_nodes(), 0u);
+  release.store(true);
+  for (auto& t : fillers) t.join();
 }
 
 }  // namespace
