@@ -25,8 +25,6 @@ const std::vector<RankInfo>& DocumentedRanks() {
       {kUringSubmit, "uring_submit", "UringFileDevice::submit_mu_; leaf (reaper completes unlocked)"},
       {kSsd, "ssd", "SimulatedSsd::mu_; under the shard lock on the blocking path"},
       {kTrace, "trace", "obs::TraceController::mu_; first-span ring registration under QP/shard/SSD"},
-      {kMetricsExporter, "metrics_exporter", "obs::MetricsExporter::mu_; held while rendering"},
-      {kMetrics, "metrics", "obs::MetricsRegistry::mu_; leaf (collectors run with it released)"},
   };
   return kTable;
 }

@@ -82,12 +82,8 @@ enum Major : uint32_t {
 
   // Observability. A thread's first RecordSpan registers its ring under the
   // trace lock — and can happen under the shard, QP, or SSD lock, so the
-  // trace lock ranks after all of them. The metrics registry lock is a pure
-  // leaf (collectors run with it released); the exporter lock may be held
-  // while rendering, so it ranks just before the registry.
-  kTrace = 0x0e,            // obs::TraceController::mu_
-  kMetricsExporter = 0x0f,  // obs::MetricsExporter::mu_
-  kMetrics = 0x10,          // obs::MetricsRegistry::mu_
+  // trace lock ranks after all of them: the innermost lock of the stack.
+  kTrace = 0x0e,  // obs::TraceController::mu_
 };
 
 // Composite rank: majors order subsystems, minors order indexed lock

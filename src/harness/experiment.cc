@@ -1,6 +1,7 @@
 #include "src/harness/experiment.h"
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
 
@@ -117,6 +118,10 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(con
     tenant_workload.seed = config_.seed + 1000003ull * t;
     tenant->generator = std::make_unique<KvTraceGenerator>(tenant_workload);
     tenants_.push_back(std::move(tenant));
+  }
+  if (config_.metrics_interval_ms > 0) {
+    publisher_ = std::make_unique<obs::MetricsPublisher>(
+        config_.metrics_path.empty() ? "fdpbench_metrics.prom" : config_.metrics_path);
   }
 }
 
@@ -305,27 +310,15 @@ MetricsReport ExperimentRunner::Run() {
   }
   device.ResetStats();
   // Observability covers only the measured phase: tracing and the live
-  // exporter start after the warm-up reset so stage spans and time series
-  // describe steady state. Trace timestamps use the wall clock exclusively —
-  // the virtual clock (and with it every virtual-time metric) is untouched.
+  // snapshots start after the warm-up reset so stage spans and time series
+  // describe steady state. Both read the wall clock only — the virtual
+  // clock (and with it every virtual-time metric) is untouched.
   if (config_.trace_enabled) {
     obs::TraceController::Instance().Clear();
     obs::TraceController::Instance().Enable(config_.trace_sample);
   }
-  if (config_.metrics_interval_ms > 0) {
-    RegisterMetrics();
-    obs::MetricsExporterOptions exporter_options;
-    exporter_options.interval_ms = config_.metrics_interval_ms;
-    if (config_.metrics_path.rfind("unix:", 0) == 0) {
-      exporter_options.socket_path = config_.metrics_path.substr(5);
-    } else if (!config_.metrics_path.empty()) {
-      exporter_options.file_path = config_.metrics_path;
-    } else {
-      exporter_options.file_path = "fdpbench_metrics.prom";
-    }
-    exporter_ = std::make_unique<obs::MetricsExporter>(&metrics_, exporter_options);
-    exporter_->Start();
-  }
+  const auto metrics_interval = std::chrono::milliseconds(config_.metrics_interval_ms);
+  auto next_snapshot = std::chrono::steady_clock::now() + metrics_interval;
   const TimeNs measure_start = now();
 
   // --- Measured phase with interval DLWA sampling ---------------------------
@@ -333,6 +326,18 @@ MetricsReport ExperimentRunner::Run() {
   FdpStatistics last_sample =
       ssd != nullptr ? ssd->GetFdpStatisticsLog() : FdpStatistics{};
   uint64_t executed = 0;
+  // Live exposition: every 256 ops, publish a snapshot if an interval has
+  // passed on the steady clock.
+  const auto maybe_publish = [&] {
+    if (publisher_ == nullptr || executed % 256 >= tenants_.size()) {
+      return;
+    }
+    const auto wall_now = std::chrono::steady_clock::now();
+    if (wall_now >= next_snapshot) {
+      publisher_->Publish(obs::RenderPrometheus(MetricsSnapshot()));
+      next_snapshot = wall_now + metrics_interval;
+    }
+  };
   if (config_.overwrite_passes > 0) {
     // Steady-state churn: run until the host has overwritten the device's
     // logical capacity `overwrite_passes` times (paper's DLWA regime — every
@@ -352,6 +357,7 @@ MetricsReport ExperimentRunner::Run() {
         ExecuteOp(*tenant, *op);
         ++executed;
       }
+      maybe_publish();
       if (executed % check_every < tenants_.size()) {
         written = HostBytesWritten();
         if (ssd != nullptr && written >= next_sample_bytes) {
@@ -373,6 +379,7 @@ MetricsReport ExperimentRunner::Run() {
         ExecuteOp(*tenant, *op);
         ++executed;
       }
+      maybe_publish();
       if (ssd != nullptr && executed % sample_interval < tenants_.size()) {
         const FdpStatistics now_stats = ssd->GetFdpStatisticsLog();
         if (now_stats.host_bytes_written > last_sample.host_bytes_written) {
@@ -412,10 +419,10 @@ MetricsReport ExperimentRunner::Run() {
     report.trace.dropped = tc.DroppedEvents();
     report.traced = true;
   }
-  if (exporter_ != nullptr) {
-    exporter_->Stop();  // Writes one final snapshot covering the full run.
-    report.metrics_snapshots = exporter_->snapshots_written();
-    exporter_.reset();
+  if (publisher_ != nullptr) {
+    // The final snapshot covers the whole measured phase.
+    publisher_->Publish(obs::RenderPrometheus(MetricsSnapshot()));
+    report.metrics_snapshots = publisher_->snapshots_written();
   }
 
   // --- Collect ----------------------------------------------------------------
@@ -500,85 +507,89 @@ MetricsReport ExperimentRunner::Run() {
   return report;
 }
 
-void ExperimentRunner::RegisterMetrics() {
-  // One collector snapshots everything: each underlying read is itself
-  // thread-safe (relaxed atomics on cache/device counters, a locked
-  // Telemetry()/statistics-log call on the simulator), so the exporter
-  // thread can run it concurrently with the op loop.
-  metrics_.AddCollector([this](obs::MetricsRegistry& reg) {
-    uint64_t gets = 0;
-    uint64_t sets = 0;
-    uint64_t ram_hits = 0;
-    uint64_t nvm_hits = 0;
-    uint64_t nvm_lookups = 0;
-    uint64_t misses = 0;
-    uint64_t pending_ops = 0;
-    uint64_t limbo = 0;
-    for (const auto& tenant : tenants_) {
-      const HybridCacheStats s = tenant->cache->stats();
-      gets += s.gets;
-      sets += s.sets;
-      ram_hits += s.ram_hits;
-      nvm_hits += s.nvm_hits;
-      nvm_lookups += s.nvm_lookups;
-      misses += s.misses;
-      pending_ops += tenant->cache->pending_async_ops();
-      limbo += tenant->cache->ram().deferred_nodes();
-    }
-    reg.Counter("fdpcache_cache_gets")->Set(gets);
-    reg.Counter("fdpcache_cache_sets")->Set(sets);
-    reg.Counter("fdpcache_cache_ram_hits")->Set(ram_hits);
-    reg.Counter("fdpcache_cache_nvm_hits")->Set(nvm_hits);
-    reg.Counter("fdpcache_cache_nvm_lookups")->Set(nvm_lookups);
-    reg.Counter("fdpcache_cache_misses")->Set(misses);
-    reg.Gauge("fdpcache_cache_pending_ops")->Set(static_cast<double>(pending_ops));
-    // Epoch-reclaim limbo depth: nodes awaiting a safe epoch plus readers
-    // currently pinning one (the lock-free DRAM hit path's deferred frees).
-    reg.Gauge("fdpcache_epoch_limbo_nodes")->Set(static_cast<double>(limbo));
-    reg.Gauge("fdpcache_epoch_active_readers")
-        ->Set(static_cast<double>(EpochRegistry::Instance().ActiveReaders()));
+std::vector<obs::MetricSample> ExperimentRunner::MetricsSnapshot() const {
+  using obs::MetricSample;
+  uint64_t gets = 0;
+  uint64_t sets = 0;
+  uint64_t ram_hits = 0;
+  uint64_t nvm_hits = 0;
+  uint64_t nvm_lookups = 0;
+  uint64_t misses = 0;
+  uint64_t pending_ops = 0;
+  uint64_t limbo = 0;
+  for (const auto& tenant : tenants_) {
+    const HybridCacheStats s = tenant->cache->stats();
+    gets += s.gets;
+    sets += s.sets;
+    ram_hits += s.ram_hits;
+    nvm_hits += s.nvm_hits;
+    nvm_lookups += s.nvm_lookups;
+    misses += s.misses;
+    pending_ops += tenant->cache->pending_async_ops();
+    limbo += tenant->cache->ram().deferred_nodes();
+  }
+  const Device& device = stack_->device();
+  const DeviceStats dev = device.stats();
+  std::vector<MetricSample> samples = {
+      MetricSample::Counter("fdpcache_cache_gets", gets),
+      MetricSample::Counter("fdpcache_cache_sets", sets),
+      MetricSample::Counter("fdpcache_cache_ram_hits", ram_hits),
+      MetricSample::Counter("fdpcache_cache_nvm_hits", nvm_hits),
+      MetricSample::Counter("fdpcache_cache_nvm_lookups", nvm_lookups),
+      MetricSample::Counter("fdpcache_cache_misses", misses),
+      MetricSample::Gauge("fdpcache_cache_pending_ops", static_cast<double>(pending_ops)),
+      // Epoch-reclaim limbo depth: nodes awaiting a safe epoch plus readers
+      // currently pinning one (the lock-free DRAM hit path's deferred frees).
+      MetricSample::Gauge("fdpcache_epoch_limbo_nodes", static_cast<double>(limbo)),
+      MetricSample::Gauge("fdpcache_epoch_active_readers",
+                          static_cast<double>(EpochRegistry::Instance().ActiveReaders())),
+      MetricSample::Counter("fdpcache_device_reads", dev.reads),
+      MetricSample::Counter("fdpcache_device_writes", dev.writes),
+      MetricSample::Counter("fdpcache_device_read_bytes", dev.read_bytes),
+      MetricSample::Counter("fdpcache_device_write_bytes", dev.write_bytes),
+      MetricSample::Gauge("fdpcache_device_in_flight", static_cast<double>(device.InFlight())),
+  };
+  const std::vector<QueuePairStats> qps = device.PerQueuePairStats();
+  for (size_t i = 0; i < qps.size(); ++i) {
+    const std::string label = "{qp=\"" + std::to_string(i) + "\"}";
+    samples.push_back(MetricSample::Counter("fdpcache_qp_reads" + label, qps[i].reads));
+    samples.push_back(MetricSample::Counter("fdpcache_qp_writes" + label, qps[i].writes));
+    samples.push_back(MetricSample::Counter("fdpcache_qp_dispatched" + label, qps[i].dispatched));
+    // Submissions that parked on the congestion window = window stalls.
+    samples.push_back(
+        MetricSample::Counter("fdpcache_qp_window_stalls" + label, qps[i].admission_waits));
+    samples.push_back(
+        MetricSample::Counter("fdpcache_qp_conflict_defers" + label, qps[i].conflict_defers));
+  }
+  const std::vector<LaneStats> lanes = device.PerLaneStats();
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    const std::string label = "{lane=\"" + std::to_string(i) + "\"}";
+    samples.push_back(MetricSample::Counter("fdpcache_lane_dispatches" + label, lanes[i].dispatches));
+    samples.push_back(
+        MetricSample::Counter("fdpcache_lane_conflict_waits" + label, lanes[i].conflict_waits));
+    samples.push_back(MetricSample::Counter("fdpcache_lane_busy_ns" + label, lanes[i].busy_ns));
+  }
 
-    const Device& device = stack_->device();
-    const DeviceStats dev = device.stats();
-    const std::vector<QueuePairStats> qps = device.PerQueuePairStats();
-    const std::vector<LaneStats> lanes = device.PerLaneStats();
-    reg.Counter("fdpcache_device_reads")->Set(dev.reads);
-    reg.Counter("fdpcache_device_writes")->Set(dev.writes);
-    reg.Counter("fdpcache_device_read_bytes")->Set(dev.read_bytes);
-    reg.Counter("fdpcache_device_write_bytes")->Set(dev.write_bytes);
-    reg.Gauge("fdpcache_device_in_flight")->Set(static_cast<double>(device.InFlight()));
-    for (size_t i = 0; i < qps.size(); ++i) {
-      const std::string label = "{qp=\"" + std::to_string(i) + "\"}";
-      reg.Counter("fdpcache_qp_reads" + label)->Set(qps[i].reads);
-      reg.Counter("fdpcache_qp_writes" + label)->Set(qps[i].writes);
-      reg.Counter("fdpcache_qp_dispatched" + label)->Set(qps[i].dispatched);
-      // Submissions that parked on the congestion window = window stalls.
-      reg.Counter("fdpcache_qp_window_stalls" + label)->Set(qps[i].admission_waits);
-      reg.Counter("fdpcache_qp_conflict_defers" + label)->Set(qps[i].conflict_defers);
+  if (const SimulatedSsd* ssd = stack_->ssd()) {
+    const FdpStatistics fdp = ssd->GetFdpStatisticsLog();
+    const SsdTelemetry telemetry = ssd->Telemetry(0);
+    samples.push_back(MetricSample::Gauge("fdpcache_ssd_dlwa", fdp.Dlwa()));
+    samples.push_back(
+        MetricSample::Counter("fdpcache_ssd_host_bytes_written", fdp.host_bytes_written));
+    samples.push_back(MetricSample::Counter("fdpcache_gc_bg_ticks", telemetry.gc_unit.ticks));
+    samples.push_back(MetricSample::Counter("fdpcache_gc_bg_migrated_pages",
+                                            telemetry.gc_unit.migrated_pages));
+    samples.push_back(MetricSample::Counter("fdpcache_gc_bg_deferred_ticks",
+                                            telemetry.gc_unit.deferred_ticks));
+    samples.push_back(
+        MetricSample::Counter("fdpcache_gc_relocated_pages", telemetry.gc_relocated_pages));
+    samples.push_back(MetricSample::Counter("fdpcache_host_stall_ns", telemetry.host_stall_ns));
+    for (size_t i = 0; i < telemetry.ruh_io.size(); ++i) {
+      samples.push_back(MetricSample::Gauge("fdpcache_ruh_dlwa{ruh=\"" + std::to_string(i) + "\"}",
+                                            telemetry.ruh_io[i].Dlwa()));
     }
-    for (size_t i = 0; i < lanes.size(); ++i) {
-      const std::string label = "{lane=\"" + std::to_string(i) + "\"}";
-      reg.Counter("fdpcache_lane_dispatches" + label)->Set(lanes[i].dispatches);
-      reg.Counter("fdpcache_lane_conflict_waits" + label)->Set(lanes[i].conflict_waits);
-      reg.Counter("fdpcache_lane_busy_ns" + label)->Set(lanes[i].busy_ns);
-    }
-
-    if (const SimulatedSsd* ssd = stack_->ssd()) {
-      const FdpStatistics fdp = ssd->GetFdpStatisticsLog();
-      reg.Gauge("fdpcache_ssd_dlwa")->Set(fdp.Dlwa());
-      reg.Counter("fdpcache_ssd_host_bytes_written")->Set(fdp.host_bytes_written);
-      const SsdTelemetry telemetry = ssd->Telemetry(0);
-      reg.Counter("fdpcache_gc_bg_ticks")->Set(telemetry.gc_unit.ticks);
-      reg.Counter("fdpcache_gc_bg_migrated_pages")->Set(telemetry.gc_unit.migrated_pages);
-      reg.Counter("fdpcache_gc_bg_deferred_ticks")->Set(telemetry.gc_unit.deferred_ticks);
-      reg.Counter("fdpcache_gc_relocated_pages")->Set(telemetry.gc_relocated_pages);
-      reg.Counter("fdpcache_host_stall_ns")->Set(telemetry.host_stall_ns);
-      for (size_t i = 0; i < telemetry.ruh_io.size(); ++i) {
-        reg.Gauge("fdpcache_ruh_dlwa{ruh=\"" + std::to_string(i) + "\"}")
-            ->Set(telemetry.ruh_io[i].Dlwa());
-      }
-    }
-  });
+  }
+  return samples;
 }
 
 }  // namespace fdpcache

@@ -144,8 +144,10 @@ struct ExperimentConfig {
   uint32_t trace_sample = 1;  // Trace 1 in N requests (fdpbench --trace-sample).
   std::string trace_path;
   // Live Prometheus exposition (fdpbench --metrics-every / --metrics-out):
-  // interval 0 disables; metrics_path is a snapshot file, or a unix-domain
-  // socket when prefixed "unix:".
+  // interval 0 disables; metrics_path is a snapshot file (empty =
+  // fdpbench_metrics.prom), or a unix-domain socket when prefixed "unix:".
+  // The measured phase publishes a snapshot once per interval (checked
+  // every 256 ops) and a final one after its closing barrier.
   uint32_t metrics_interval_ms = 0;
   std::string metrics_path;
 };
@@ -233,7 +235,7 @@ struct MetricsReport {
   // (trace_enabled runs only; `traced` false otherwise).
   bool traced = false;
   obs::TraceBreakdown trace;
-  // Prometheus snapshots the live exporter wrote (0 when disabled).
+  // Prometheus snapshot files written (0 when disabled or on a socket).
   uint64_t metrics_snapshots = 0;
 };
 
@@ -242,7 +244,7 @@ class ExperimentRunner {
   // Throws std::runtime_error when the deployment cannot be provisioned: no
   // tenants, a utilization outside (0, 1], or tenant partitions that do not
   // fit the device (e.g. fdpbench --tenants=2 --superblocks=64), on every
-  // backend.
+  // backend; or when metrics_path cannot be published to.
   explicit ExperimentRunner(const ExperimentConfig& config);
   ~ExperimentRunner();
 
@@ -277,22 +279,20 @@ class ExperimentRunner {
   // warm-up and overwrite-pass progress loops on every backend.
   uint64_t HostBytesWritten() const;
 
-  // Registers the live-exposition collectors (cache counters, device in-
-  // flight, GC/DLWA telemetry, epoch limbo depth) into metrics_. Only called
-  // when the exporter is configured; collectors capture `this` and sample
-  // thread-safe state (atomics or locked telemetry snapshots).
-  void RegisterMetrics();
+  // The live-exposition samples as of now: cache counters, device and
+  // per-QP/per-lane counters, in-flight depth, epoch limbo depth, GC and
+  // DLWA telemetry. Run() calls it on the op-loop thread, so it reads the
+  // caches between operations, never concurrently with one.
+  std::vector<obs::MetricSample> MetricsSnapshot() const;
 
   ExperimentConfig config_;
-  // Owned (not a process singleton) so collectors capturing runner state
-  // cannot outlive what they point at.
-  obs::MetricsRegistry metrics_;
   std::unique_ptr<DeviceStack> stack_;
   // Declared after stack_: the caches die before the device they write
   // through.
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  // Declared last: stops before the state its collectors read is destroyed.
-  std::unique_ptr<obs::MetricsExporter> exporter_;
+  // Set when metrics_interval_ms > 0; built by the constructor, so a bad
+  // metrics_path fails before any run time is spent.
+  std::unique_ptr<obs::MetricsPublisher> publisher_;
   uint64_t cache_bytes_per_tenant_ = 0;
   uint64_t ram_bytes_ = 0;
   // Usable capacity the experiment is sized against: the simulated SSD's

@@ -29,8 +29,6 @@ const char* TraceStageName(TraceStage stage) {
   return "unknown";
 }
 
-#ifndef FDPCACHE_DISABLE_TRACING
-
 namespace internal {
 std::atomic<bool> g_tracing_enabled{false};
 thread_local uint64_t tl_current_trace = 0;
@@ -91,8 +89,6 @@ void RecordSpan(uint64_t trace_id, TraceStage stage, uint64_t start_ns, uint64_t
   RecordSpanImpl(event);
 }
 
-#endif  // FDPCACHE_DISABLE_TRACING
-
 TraceController& TraceController::Instance() {
   static TraceController* controller = new TraceController();
   return *controller;
@@ -101,24 +97,16 @@ TraceController& TraceController::Instance() {
 void TraceController::Enable(uint32_t sample_every) {
   fdp::MutexLock lock(&mu_);
   sample_every_.store(sample_every == 0 ? 1 : sample_every, std::memory_order_relaxed);
-#ifndef FDPCACHE_DISABLE_TRACING
   internal::g_tracing_enabled.store(true, std::memory_order_relaxed);
-#endif
 }
 
 void TraceController::Disable() {
   fdp::MutexLock lock(&mu_);
-#ifndef FDPCACHE_DISABLE_TRACING
   internal::g_tracing_enabled.store(false, std::memory_order_relaxed);
-#endif
 }
 
 bool TraceController::enabled() const {
-#ifndef FDPCACHE_DISABLE_TRACING
   return internal::g_tracing_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 uint32_t TraceController::sample_every() const {

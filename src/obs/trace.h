@@ -4,12 +4,9 @@
 //
 // Design constraints, in priority order:
 //
-//   1. Zero cost when compiled out: -DFDPCACHE_DISABLE_TRACING turns every
-//      hot-path helper in this header into a constexpr no-op, so call sites
-//      (`if (obs::TracingEnabled()) ...`) fold to nothing.
-//   2. Near-zero cost when compiled in but disabled (the default): one
-//      relaxed atomic load per call site, no clock reads, no allocation.
-//   3. Low overhead when enabled: run-time sampling (1 in N requests gets a
+//   1. Near-zero cost when disabled (the default): one relaxed atomic load
+//      per call site, no clock reads, no allocation.
+//   2. Low overhead when enabled: run-time sampling (1 in N requests gets a
 //      trace id; un-sampled requests skip every clock read), and recording
 //      appends to a per-thread lock-free ring buffer — no shared mutable
 //      state on the hot path beyond the global trace-id counter, which only
@@ -97,8 +94,6 @@ struct TraceBreakdown {
   uint64_t request_p50_ns = 0;  // Median end-to-end request latency.
   std::array<TraceStageBreakdown, kNumTraceStages> stages{};
 };
-
-#ifndef FDPCACHE_DISABLE_TRACING
 
 namespace internal {
 // One relaxed load gates every call site; mirrored from TraceController so
@@ -199,35 +194,6 @@ class ScopedSpan {
   TraceStage stage_;
   uint8_t op_;
 };
-
-#else  // FDPCACHE_DISABLE_TRACING: constexpr no-op stubs; call sites fold away.
-
-constexpr bool TracingEnabled() { return false; }
-constexpr uint64_t CurrentTraceId() { return 0; }
-constexpr uint64_t NowNs() { return 0; }
-class TraceScope {
- public:
-  explicit TraceScope(uint64_t) {}
-};
-inline void RecordSpan(uint64_t, TraceStage, uint64_t, uint64_t, uint8_t = 0) {}
-struct RequestSpan {
-  uint64_t id = 0;
-  uint64_t start = 0;
-  explicit operator bool() const { return false; }
-};
-inline RequestSpan BeginRequestSpanIfIdle() { return RequestSpan{}; }
-inline void EndRequestSpan(const RequestSpan&, TraceOp) {}
-class ScopedRequest {
- public:
-  explicit ScopedRequest(TraceOp) {}
-  uint64_t id() const { return 0; }
-};
-class ScopedSpan {
- public:
-  explicit ScopedSpan(TraceStage, uint8_t = 0) {}
-};
-
-#endif  // FDPCACHE_DISABLE_TRACING
 
 // Process-wide trace control + ring registry. Rings are per-thread
 // (single-writer) and registered on first use; they outlive their threads so

@@ -10,6 +10,10 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -338,6 +342,109 @@ TEST(HarnessTest, FailedBackingOpenRemovesItsTempFile) {
   const std::set<std::string> before = TempBackingFiles();
   EXPECT_THROW({ ExperimentRunner runner(config); }, std::runtime_error);
   EXPECT_EQ(TempBackingFiles(), before);
+}
+
+// Reads a Prometheus text snapshot into name -> value, checking its shape on
+// the way: each family has exactly one # TYPE line, ahead of its samples, and
+// sample names strictly ascend.
+std::map<std::string, double> ReadPrometheusSnapshot(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "no snapshot at " << path;
+  std::map<std::string, double> samples;
+  std::set<std::string> typed_families;
+  std::string last_name;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string family = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(typed_families.insert(family).second) << "second # TYPE line for " << family;
+      continue;
+    }
+    const size_t space = line.rfind(' ');
+    const std::string name = line.substr(0, space);
+    EXPECT_GT(name, last_name) << "sample names must ascend";
+    EXPECT_EQ(typed_families.count(name.substr(0, name.find('{'))), 1u)
+        << name << " precedes its # TYPE line";
+    samples[name] = std::strtod(line.c_str() + space + 1, nullptr);
+    last_name = name;
+  }
+  return samples;
+}
+
+// The live exposition's last snapshot covers the whole measured phase, so
+// it must agree with the final report figure for figure.
+TEST(HarnessTest, LiveMetricsFinalSnapshotMatchesReport) {
+  const std::string path = ::testing::TempDir() + "harness_live_metrics.prom";
+  std::remove(path.c_str());
+  ExperimentConfig config;
+  config.num_superblocks = 64;
+  config.total_ops = 30'000;
+  config.metrics_interval_ms = 20;
+  config.metrics_path = path;
+  const MetricsReport report = ExperimentRunner(config).Run();
+
+  const std::map<std::string, double> samples = ReadPrometheusSnapshot(path);
+  EXPECT_EQ(samples.at("fdpcache_cache_gets"), static_cast<double>(report.gets));
+  EXPECT_EQ(samples.at("fdpcache_cache_sets"), static_cast<double>(report.sets));
+  EXPECT_EQ(samples.at("fdpcache_ssd_dlwa"), report.final_dlwa);
+  ASSERT_FALSE(report.device_queue_pairs.empty());
+  EXPECT_EQ(samples.at("fdpcache_qp_writes{qp=\"0\"}"),
+            static_cast<double>(report.device_queue_pairs[0].writes));
+  EXPECT_GE(report.metrics_snapshots, 1u);
+  std::remove(path.c_str());
+}
+
+// A --metrics-out target that cannot be published to is refused before the
+// warm-up starts, and the refusal touches nothing on disk.
+ExperimentConfig RefusedMetricsExperiment(const std::string& metrics_path) {
+  ExperimentConfig config;
+  config.num_superblocks = 64;
+  config.total_ops = 2'000;
+  config.warmup_cache_writes = 0.0;
+  config.metrics_interval_ms = 20;
+  config.metrics_path = metrics_path;
+  return config;
+}
+
+TEST(HarnessTest, MetricsSocketNeverReplacesARegularFile) {
+  const std::string path = ::testing::TempDir() + "harness_metrics_not_a_socket.txt";
+  std::ofstream(path) << "user data\n";
+  EXPECT_THROW(ExperimentRunner(RefusedMetricsExperiment("unix:" + path)).Run(),
+               std::runtime_error);
+  std::ifstream in(path);
+  std::string line;
+  EXPECT_TRUE(std::getline(in, line)) << path << " was deleted";
+  EXPECT_EQ(line, "user data");
+  std::remove(path.c_str());
+}
+
+TEST(HarnessTest, MetricsSocketPathLongerThanSunPathIsRefused) {
+  std::string path = ::testing::TempDir() + "harness_metrics_";
+  ASSERT_LT(path.size(), 139u);
+  path.append(139 - path.size(), 'x');
+  path += ".sock";
+  ASSERT_EQ(path.size(), 144u);
+  // sun_path holds 107 bytes plus the terminator; a silently truncated bind
+  // would create this name instead.
+  const std::string truncated = path.substr(0, 107);
+  ::unlink(path.c_str());
+  ::unlink(truncated.c_str());
+  EXPECT_THROW(ExperimentRunner(RefusedMetricsExperiment("unix:" + path)).Run(),
+               std::runtime_error);
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+  EXPECT_NE(::access(truncated.c_str(), F_OK), 0) << "a truncated socket was left behind";
+  ::unlink(truncated.c_str());
+}
+
+TEST(HarnessTest, MetricsSocketInMissingDirectoryIsRefused) {
+  const std::string path = ::testing::TempDir() + "harness_metrics_no_such_dir/x.sock";
+  EXPECT_THROW(ExperimentRunner(RefusedMetricsExperiment("unix:" + path)).Run(),
+               std::runtime_error);
+}
+
+TEST(HarnessTest, MetricsFileInMissingDirectoryIsRefused) {
+  const std::string path = ::testing::TempDir() + "harness_metrics_no_such_dir/x.prom";
+  EXPECT_THROW(ExperimentRunner(RefusedMetricsExperiment(path)).Run(), std::runtime_error);
 }
 
 TEST(ReportTest, TextTableAlignsColumns) {

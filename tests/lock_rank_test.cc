@@ -75,7 +75,7 @@ TEST(LockRankCheckerTest, AscendingMinorsWithinFamilyAreSilent) {
 }
 
 TEST(LockRankCheckerTest, UnrankedLockOrdersAgainstNothing) {
-  fdp::Mutex ranked(Make(lock_rank::kMetrics), "metrics");
+  fdp::Mutex ranked(Make(lock_rank::kTrace), "trace");
   fdp::Mutex unranked;  // kUnranked: AssertHeld works, ordering is exempt.
   fdp::MutexLock lock_ranked(&ranked);
   fdp::MutexLock lock_unranked(&unranked);  // Below the innermost major: fine.

@@ -1,7 +1,7 @@
-// MetricsRegistry / MetricsExporter tests (src/obs/metrics.h): handle
-// idempotency and type safety, Prometheus text rendering (families, labels,
-// cumulative histogram buckets), collector execution at render time, and the
-// live exporter's file snapshots and unix-socket endpoint.
+// Live exposition tests (src/obs/metrics.h): the Prometheus text renderer
+// (name order, one # TYPE line per family, integer counters, round-tripping
+// gauges) and the passive publisher (atomic file snapshots, answering
+// pending unix-socket clients, replacing only stale sockets).
 #include "src/obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -10,143 +10,124 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <thread>
 
 namespace fdpcache {
 namespace obs {
 namespace {
 
-TEST(MetricsRegistryTest, HandlesAreStableAndTyped) {
-  MetricsRegistry reg;
-  MetricCounter* c = reg.Counter("fdpcache_test_total");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(reg.Counter("fdpcache_test_total"), c);  // Idempotent.
-  // Same name under a different type is a registration error, not a crash.
-  EXPECT_EQ(reg.Gauge("fdpcache_test_total"), nullptr);
-  EXPECT_EQ(reg.Histogram("fdpcache_test_total"), nullptr);
-}
-
-TEST(MetricsRegistryTest, RendersCounterGaugeHistogram) {
-  MetricsRegistry reg;
-  reg.Counter("fdpcache_ops_total")->Add(3);
-  reg.Gauge("fdpcache_queue_depth")->Set(2.5);
-  MetricHistogram* h = reg.Histogram("fdpcache_latency_ns");
-  h->Observe(1);
-  h->Observe(100);
-  h->Observe(1000);
-  const std::string text = reg.RenderPrometheus();
-  EXPECT_NE(text.find("# TYPE fdpcache_ops_total counter"), std::string::npos);
-  EXPECT_NE(text.find("fdpcache_ops_total 3"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE fdpcache_queue_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("fdpcache_queue_depth 2.5"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE fdpcache_latency_ns histogram"), std::string::npos);
-  EXPECT_NE(text.find("fdpcache_latency_ns_bucket{le=\"+Inf\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("fdpcache_latency_ns_sum 1101"), std::string::npos);
-  EXPECT_NE(text.find("fdpcache_latency_ns_count 3"), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, LabeledMetricsShareOneFamilyTypeLine) {
-  MetricsRegistry reg;
-  reg.Counter("fdpcache_qp_dispatched{qp=\"0\"}")->Add(5);
-  reg.Counter("fdpcache_qp_dispatched{qp=\"1\"}")->Add(7);
-  const std::string text = reg.RenderPrometheus();
-  // One TYPE line for the family, one sample line per label set.
-  size_t first = text.find("# TYPE fdpcache_qp_dispatched counter");
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(text.find("# TYPE fdpcache_qp_dispatched counter", first + 1),
-            std::string::npos);
-  EXPECT_NE(text.find("fdpcache_qp_dispatched{qp=\"0\"} 5"), std::string::npos);
-  EXPECT_NE(text.find("fdpcache_qp_dispatched{qp=\"1\"} 7"), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, LabeledHistogramMergesLeIntoLabelSet) {
-  MetricsRegistry reg;
-  reg.Histogram("fdpcache_io_ns{qp=\"2\"}")->Observe(10);
-  const std::string text = reg.RenderPrometheus();
-  EXPECT_NE(text.find("fdpcache_io_ns_bucket{qp=\"2\",le=\""), std::string::npos);
-  EXPECT_NE(text.find("fdpcache_io_ns_bucket{qp=\"2\",le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("fdpcache_io_ns_sum{qp=\"2\"} 10"), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, HistogramBucketsAreCumulative) {
-  MetricsRegistry reg;
-  MetricHistogram* h = reg.Histogram("fdpcache_hist");
-  h->Observe(1);   // bit_width 1 -> le 1.
-  h->Observe(2);   // bit_width 2 -> le 3.
-  h->Observe(3);   // bit_width 2 -> le 3.
-  const std::string text = reg.RenderPrometheus();
-  EXPECT_NE(text.find("fdpcache_hist_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("fdpcache_hist_bucket{le=\"3\"} 3"), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, CollectorsRunAtRenderTime) {
-  MetricsRegistry reg;
-  int value = 1;
-  reg.AddCollector([&value](MetricsRegistry& r) {
-    r.Gauge("fdpcache_live_value")->Set(static_cast<double>(value));
-  });
-  EXPECT_NE(reg.RenderPrometheus().find("fdpcache_live_value 1"), std::string::npos);
-  value = 42;  // Collectors snapshot at every render, not at registration.
-  EXPECT_NE(reg.RenderPrometheus().find("fdpcache_live_value 42"), std::string::npos);
-}
-
-TEST(MetricsExporterTest, WritesPeriodicFileSnapshots) {
-  MetricsRegistry reg;
-  reg.Counter("fdpcache_snapshot_total")->Add(9);
-  const std::string path = ::testing::TempDir() + "/metrics_exporter_test.prom";
-  std::remove(path.c_str());
-  {
-    MetricsExporterOptions options;
-    options.interval_ms = 10;
-    options.file_path = path;
-    MetricsExporter exporter(&reg, options);
-    exporter.Start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    exporter.Stop();
-    EXPECT_GE(exporter.snapshots_written(), 1u);
-  }
+std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
-  ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("fdpcache_snapshot_total 9"), std::string::npos);
+  return buf.str();
+}
+
+TEST(RenderPrometheusTest, SortsByNameAndTypesEachFamilyOnce) {
+  const std::string text = RenderPrometheus({
+      MetricSample::Counter("fdpcache_qp_writes{qp=\"1\"}", 7),
+      MetricSample::Gauge("fdpcache_ssd_dlwa", 1.5),
+      MetricSample::Counter("fdpcache_qp_writes{qp=\"0\"}", 5),
+      MetricSample::Counter("fdpcache_cache_gets", 3),
+  });
+  EXPECT_EQ(text,
+            "# TYPE fdpcache_cache_gets counter\n"
+            "fdpcache_cache_gets 3\n"
+            "# TYPE fdpcache_qp_writes counter\n"
+            "fdpcache_qp_writes{qp=\"0\"} 5\n"
+            "fdpcache_qp_writes{qp=\"1\"} 7\n"
+            "# TYPE fdpcache_ssd_dlwa gauge\n"
+            "fdpcache_ssd_dlwa 1.5\n");
+}
+
+TEST(RenderPrometheusTest, CountersAreExactIntegersAndGaugesRoundTrip) {
+  const uint64_t big = (uint64_t{1} << 60) + 1;  // Not representable as a double.
+  const std::string text = RenderPrometheus({
+      MetricSample::Counter("fdpcache_big", big),
+      MetricSample::Gauge("fdpcache_tenth", 0.1),
+  });
+  EXPECT_NE(text.find("\nfdpcache_big " + std::to_string(big) + "\n"), std::string::npos);
+  // %.17g: 17 significant digits, enough to read back the same double.
+  EXPECT_NE(text.find("\nfdpcache_tenth 0.10000000000000001\n"), std::string::npos);
+  EXPECT_EQ(std::stod("0.10000000000000001"), 0.1);
+  EXPECT_EQ(RenderPrometheus({}), "");
+}
+
+TEST(MetricsPublisherTest, RewritesTheSnapshotFileWhole) {
+  const std::string path = ::testing::TempDir() + "metrics_publisher_test.prom";
+  std::remove(path.c_str());
+  MetricsPublisher publisher(path);
+  // Validation leaves nothing behind until the first snapshot.
+  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+  publisher.Publish("fdpcache_snapshot 1\n");
+  publisher.Publish("fdpcache_snapshot 2\n");
+  EXPECT_EQ(publisher.snapshots_written(), 2u);
+  EXPECT_EQ(ReadFile(path), "fdpcache_snapshot 2\n");
+  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
   std::remove(path.c_str());
 }
 
-TEST(MetricsExporterTest, ServesSnapshotsOnUnixSocket) {
-  MetricsRegistry reg;
-  reg.Counter("fdpcache_socket_total")->Add(4);
-  const std::string sock_path = ::testing::TempDir() + "/metrics_exporter_test.sock";
-  MetricsExporterOptions options;
-  options.interval_ms = 50;
-  options.socket_path = sock_path;
-  MetricsExporter exporter(&reg, options);
-  exporter.Start();
-
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+int ConnectTo(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, sock_path.c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+std::string ReadToEof(int fd) {
   std::string received;
   char buf[1024];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) {
-      break;
-    }
+  for (ssize_t n; (n = ::read(fd, buf, sizeof(buf))) > 0;) {
     received.append(buf, static_cast<size_t>(n));
   }
   ::close(fd);
-  exporter.Stop();
-  EXPECT_NE(received.find("fdpcache_socket_total 4"), std::string::npos);
+  return received;
+}
+
+TEST(MetricsPublisherTest, AnswersPendingSocketClientsAndRemovesTheSocket) {
+  const std::string path = ::testing::TempDir() + "metrics_publisher_test.sock";
+  {
+    MetricsPublisher publisher("unix:" + path);
+    publisher.Publish("nobody is waiting\n");  // Returns at once with no client.
+    const int first = ConnectTo(path);
+    const int second = ConnectTo(path);
+    publisher.Publish("fdpcache_socket 4\n");
+    EXPECT_EQ(ReadToEof(first), "fdpcache_socket 4\n");
+    EXPECT_EQ(ReadToEof(second), "fdpcache_socket 4\n");
+    EXPECT_EQ(publisher.snapshots_written(), 0u);
+  }
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+}
+
+TEST(MetricsPublisherTest, ReplacesAStaleSocket) {
+  const std::string path = ::testing::TempDir() + "metrics_publisher_stale.sock";
+  ::unlink(path.c_str());
+  const int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(stale, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ::close(stale);  // A crashed run leaves its socket file behind.
+  MetricsPublisher publisher("unix:" + path);
+  const int client = ConnectTo(path);
+  publisher.Publish("fresh\n");
+  EXPECT_EQ(ReadToEof(client), "fresh\n");
+}
+
+// The other refused targets (a regular file, an overlong path, a missing
+// directory) are covered end to end in harness_test.
+TEST(MetricsPublisherTest, RefusesAnEmptySocketPath) {
+  // An empty sun_path would bind in the abstract namespace, where no path
+  // reaches the socket.
+  EXPECT_THROW(MetricsPublisher("unix:"), std::runtime_error);
 }
 
 }  // namespace

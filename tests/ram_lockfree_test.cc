@@ -129,25 +129,10 @@ TEST(RamLockfreeTest, TortureReadersVsWritersAndEviction) {
   // per-key-slice makes the final value checkable (no lost updates).
   std::vector<std::atomic<uint64_t>> last_seq(kKeys);
 
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      // Each writer owns keys where index % kWriters == w (single writer
-      // per key; writers still collide on buckets and the eviction index).
-      uint64_t seq = 1;
-      for (int i = 0; i < kWritesPerThread; ++i) {
-        const int k = (w + kWriters * i) % kKeys;
-        if (i % 97 == 96) {
-          cache.Remove(keys[k]);
-        } else {
-          ASSERT_TRUE(cache.Put(keys[k], MakePayload(keys[k], seq)));
-          last_seq[k].store(seq);
-          ++seq;
-        }
-      }
-    });
-  }
-
+  // Readers start first, and writers hold until every reader has finished
+  // a Get: otherwise the writers can be done before any reader walks a
+  // bucket, leaving the seqlock-retry check below nothing to observe.
+  std::atomic<int> readers_started{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
@@ -158,7 +143,43 @@ TEST(RamLockfreeTest, TortureReadersVsWritersAndEviction) {
         if (cache.Get(key, &value) && ValidatePayload(key, value) == ~0ull) {
           bad_reads.fetch_add(1);
         }
+        if (i == 1) {
+          readers_started.fetch_add(1);
+        }
       }
+    });
+  }
+
+  // Past their quota, writers go on in rounds until some reader has
+  // retried, up to a deadline: on an oversubscribed host the quota can pass
+  // while no reader is on a CPU.
+  constexpr int kWritesPerRound = 1000;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto readers_retried = [&] {
+    return cache.stats().optimistic_retries > 0 || std::chrono::steady_clock::now() > deadline;
+  };
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      while (readers_started.load() < kReaders) {
+        std::this_thread::yield();
+      }
+      // Each writer owns keys where index % kWriters == w (single writer
+      // per key; writers still collide on buckets and the eviction index).
+      uint64_t seq = 1;
+      int i = 0;
+      do {
+        for (const int round_end = i + kWritesPerRound; i < round_end; ++i) {
+          const int k = (w + kWriters * i) % kKeys;
+          if (i % 97 == 96) {
+            cache.Remove(keys[k]);
+          } else {
+            ASSERT_TRUE(cache.Put(keys[k], MakePayload(keys[k], seq)));
+            last_seq[k].store(seq);
+            ++seq;
+          }
+        }
+      } while (i < kWritesPerThread || !readers_retried());
     });
   }
 
