@@ -18,8 +18,7 @@ const std::vector<RankInfo>& DocumentedRanks() {
       {kRamBucket, "ram_bucket", "RamCache::Bucket::mu; one bucket at a time, under evict on eviction"},
       {kRamLimbo, "ram_limbo", "RamCache::limbo_mu_; Retire runs under the eviction lock"},
       {kLane, "lane", "ExecLaneEngine::Lane::mu; leaf, one lane lock at a time"},
-      {kQueuePair, "qp", "QueuedDevice::IoQueuePair::mu; minor = QP index, ResetStats sweeps ascending"},
-      {kDeviceStats, "device_stats", "Device::latency_mu_; nests inside the owning QP lock (PR 9)"},
+      {kQueuePair, "qp", "QueuedDevice::IoQueuePair::mu; minor = QP index, one held at a time"},
       {kDevicePipeline, "device_pipeline", "QueuedDevice::mu_; dispatcher wake/idle handshake"},
       {kDeviceTracker, "device_tracker", "QueuedDevice::tracker_mu_; the one conflict tracker"},
       {kUringSubmit, "uring_submit", "UringFileDevice::submit_mu_; leaf (reaper completes unlocked)"},

@@ -7,9 +7,8 @@
 // naming both locks and their acquire sites. This turns "the lock hierarchy
 // is documented in comments" into "any run of any test that nests two locks
 // the wrong way dies on the spot" — the dynamic complement to the Clang
-// Thread Safety Analysis annotations (which cannot model dynamic arrays of
-// locks such as the ascending all-QP sweep in QueuedDevice::ResetStats; the
-// runtime checker covers exactly those).
+// Thread Safety Analysis annotations, which cannot see across virtual calls
+// and type-erased callbacks; the runtime checker covers exactly those.
 //
 // The whole checker compiles to nothing when NDEBUG is defined: fdp::Mutex
 // is then a bare std::mutex and Release `fdpbench --qd=1` CSVs stay
@@ -17,8 +16,9 @@
 //
 // Rank encoding: composite 32-bit value (major << 16) | minor. Majors give
 // the cross-subsystem total order (outermost lock = lowest major); minors
-// order indexed lock families within one major (queue pairs are acquired in
-// ascending index order when a sweep holds several at once). Rank 0
+// order indexed lock families within one major (a thread that ever held
+// several queue-pair or lane locks at once would have to take them in
+// ascending index order; today none does). Rank 0
 // (kUnranked) opts a mutex out of ordering checks but keeps it on the held
 // stack for AssertHeld() and self-deadlock detection.
 //
@@ -34,8 +34,9 @@ namespace fdpcache {
 namespace lock_rank {
 
 // Major ranks, outermost (acquired first) to innermost (acquired last).
-// Append new subsystems where their observed nesting puts them; never
-// renumber an existing rank without re-auditing every edge in README.md.
+// Append new subsystems where their observed nesting puts them. Majors stay
+// contiguous: deleting one renumbers the ones after it, which keeps their
+// relative order and so every audited edge in README.md.
 enum Major : uint32_t {
   kUnranked = 0x00,  // No ordering checks (tests, short-lived local locks).
 
@@ -63,27 +64,24 @@ enum Major : uint32_t {
   // (minor = lane index, for diagnostics).
   kLane = 0x07,  // ExecLaneEngine::Lane::mu
 
-  // Queued device. Completions record per-QP and aggregate latency stats as
-  // one unit under the QP lock (PR 9), so the aggregate stats lock nests
-  // inside kQueuePair; ResetStats takes every QP lock in ascending index
-  // order (minor = QP index) before the aggregate lock.
+  // Queued device. A completion records its one stats entry under its own
+  // QP lock; ResetStats and the stats snapshot hold one QP lock at a time.
   kQueuePair = 0x08,       // QueuedDevice::IoQueuePair::mu, minor = QP index
-  kDeviceStats = 0x09,     // Device::latency_mu_
-  kDevicePipeline = 0x0a,  // QueuedDevice::mu_ (dispatcher handshake)
-  kDeviceTracker = 0x0b,   // QueuedDevice::tracker_mu_ (the conflict tracker)
+  kDevicePipeline = 0x09,  // QueuedDevice::mu_ (dispatcher handshake)
+  kDeviceTracker = 0x0a,   // QueuedDevice::tracker_mu_ (the conflict tracker)
 
   // io_uring file backend. A leaf lock: the reaper copies op state out and
   // completes requests with it released.
-  kUringSubmit = 0x0c,  // UringFileDevice::submit_mu_
+  kUringSubmit = 0x0b,  // UringFileDevice::submit_mu_
 
   // Simulated SSD. Taken during Execute with no pipeline locks held, but
   // under the shard lock on the blocking cache path.
-  kSsd = 0x0d,  // SimulatedSsd::mu_
+  kSsd = 0x0c,  // SimulatedSsd::mu_
 
   // Observability. A thread's first RecordSpan registers its ring under the
   // trace lock — and can happen under the shard, QP, or SSD lock, so the
   // trace lock ranks after all of them: the innermost lock of the stack.
-  kTrace = 0x0e,  // obs::TraceController::mu_
+  kTrace = 0x0d,  // obs::TraceController::mu_
 };
 
 // Composite rank: majors order subsystems, minors order indexed lock

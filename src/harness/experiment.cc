@@ -12,6 +12,13 @@ namespace fdpcache {
 
 namespace {
 
+// Modelled host costs in virtual time: CPU per op, the backend fetch on a
+// cache miss, and how far the device may run ahead of the host before the
+// host waits (backpressure).
+constexpr TimeNs kHostCpuNsPerOp = 1500;
+constexpr TimeNs kBackendFetchNs = 10'000;
+constexpr TimeNs kDeviceBacklogWindowNs = 4'000'000;
+
 SsdConfig MakeSsdConfig(const ExperimentConfig& config) {
   SsdConfig ssd;
   ssd.geometry.pages_per_block = config.pages_per_block;
@@ -50,8 +57,9 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(con
   stack.ssd = MakeSsdConfig(config_);
   stack.queue.num_queue_pairs = config_.queue_pairs == 0 ? 1 : config_.queue_pairs;
   stack.queue.exec_lanes = config_.exec_lanes;
-  stack.queue.lane_stripe_bytes =
-      config_.lane_stripe_bytes != 0 ? config_.lane_stripe_bytes : config_.loc_region_size;
+  stack.queue.lane_stripe_bytes = config_.lane_stripe_bytes != 0
+                                      ? config_.lane_stripe_bytes
+                                      : ExperimentConfig::kLocRegionSize;
   stack.path = config_.device_path;
   stack.direct_io = config_.device_direct_io;
 
@@ -89,10 +97,10 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(con
     auto tenant = std::make_unique<Tenant>();
     HybridCacheConfig cache_config;
     cache_config.ram_bytes = ram_bytes_;
-    cache_config.navy.small_item_max_bytes = config_.small_item_max_bytes;
+    // The small-item threshold and LOC eviction policy keep
+    // NavyCacheConfig's defaults.
     cache_config.navy.soc_fraction = config_.soc_fraction;
-    cache_config.navy.loc_region_size = config_.loc_region_size;
-    cache_config.navy.loc_eviction = config_.loc_eviction;
+    cache_config.navy.loc_region_size = ExperimentConfig::kLocRegionSize;
     cache_config.navy.loc_trim_on_evict = config_.loc_trim_on_evict;
     cache_config.navy.base_offset = t * partition_bytes;
     cache_config.navy.size_bytes = partition_bytes;
@@ -131,7 +139,13 @@ uint64_t ExperimentRunner::HostBytesWritten() const {
   if (const SimulatedSsd* ssd = stack_->ssd()) {
     return ssd->GetFdpStatisticsLog().host_bytes_written;
   }
-  return stack_->device().stats().write_bytes;
+  // The engines issue every device write, and count it once it succeeds.
+  uint64_t bytes = 0;
+  for (const auto& tenant : tenants_) {
+    const NavyStats navy = tenant->cache->navy().stats();
+    bytes += navy.soc.bytes_written + navy.loc.bytes_written;
+  }
+  return bytes;
 }
 
 bool ExperimentRunner::Barrier() {
@@ -160,13 +174,13 @@ void ExperimentRunner::MaybeBackpressure() {
   }
   VirtualClock& clock = stack_->clock();
   const TimeNs horizon = ssd->MaxDieBusyUntil();
-  if (horizon > clock.now() + config_.device_backlog_window_ns) {
-    clock.AdvanceTo(horizon - config_.device_backlog_window_ns);
+  if (horizon > clock.now() + kDeviceBacklogWindowNs) {
+    clock.AdvanceTo(horizon - kDeviceBacklogWindowNs);
   }
 }
 
 void ExperimentRunner::ExecuteOpAsync(Tenant& tenant, const Op& op) {
-  stack_->clock().Advance(config_.host_cpu_ns_per_op);
+  stack_->clock().Advance(kHostCpuNsPerOp);
   const std::string key = KeyString(op.key_id);
   HybridCache* cache = tenant.cache.get();
   switch (op.type) {
@@ -198,7 +212,7 @@ void ExperimentRunner::ExecuteOpAsync(Tenant& tenant, const Op& op) {
         // Cache miss: fetch from the backend and fill (CacheBench get path).
         // The fill uses the version map as of NOW, so it linearizes
         // consistently after any Set that raced this lookup.
-        stack_->clock().Advance(config_.backend_fetch_ns);
+        stack_->clock().Advance(kBackendFetchNs);
         uint32_t& version = tenant_ptr->versions[issued.key_id];
         if (version == 0) {
           version = 1;
@@ -233,7 +247,7 @@ void ExperimentRunner::ExecuteOp(Tenant& tenant, const Op& op) {
     ExecuteOpAsync(tenant, op);
     return;
   }
-  stack_->clock().Advance(config_.host_cpu_ns_per_op);
+  stack_->clock().Advance(kHostCpuNsPerOp);
   const std::string key = KeyString(op.key_id);
   switch (op.type) {
     case OpType::kSet: {
@@ -253,7 +267,7 @@ void ExperimentRunner::ExecuteOp(Tenant& tenant, const Op& op) {
         }
       } else {
         // Cache miss: fetch from the backend and fill (CacheBench get path).
-        stack_->clock().Advance(config_.backend_fetch_ns);
+        stack_->clock().Advance(kBackendFetchNs);
         uint32_t& version = tenant.versions[op.key_id];
         if (version == 0) {
           version = 1;

@@ -25,6 +25,9 @@
 namespace fdpcache {
 
 struct ExperimentConfig {
+  // LOC region size of every tenant's cache, and the default lane stripe.
+  static constexpr uint64_t kLocRegionSize = 512 * 1024;
+
   // --- Backend ----------------------------------------------------------------
   DeviceBackend backend = DeviceBackend::kSim;
   // Backing path for kFile/kUring: a regular file (created/grown as needed)
@@ -59,9 +62,6 @@ struct ExperimentConfig {
   // DRAM cache size; 0 derives the paper's default ratio (42 GB : 930 GB).
   uint64_t ram_bytes = 0;
   uint32_t num_tenants = 1;
-  uint64_t loc_region_size = 512 * 1024;
-  uint64_t small_item_max_bytes = 2048;
-  LocEvictionPolicy loc_eviction = LocEvictionPolicy::kFifo;
   bool loc_trim_on_evict = false;
 
   // --- Workload ---------------------------------------------------------------
@@ -93,8 +93,8 @@ struct ExperimentConfig {
   // nondeterministic while the virtual-time metrics stay deterministic per
   // seed only at lanes=0.
   uint32_t exec_lanes = 0;
-  // Die-affine routing stripe (fdpbench --stripe). 0 = the loc_region_size
-  // is used, so consecutive LOC regions fan out across lanes.
+  // Die-affine routing stripe (fdpbench --stripe). 0 = kLocRegionSize is
+  // used, so consecutive LOC regions fan out across lanes.
   uint64_t lane_stripe_bytes = 0;
   // Cache-tier queue depth (fdpbench --cache-qd). 1 (default) issues every
   // operation through the blocking Set/Get/Remove API — bit-identical to the
@@ -128,9 +128,6 @@ struct ExperimentConfig {
   // cache size, then statistics reset (steady-state measurement).
   double warmup_cache_writes = 1.0;
   uint64_t max_warmup_ops = 30'000'000;
-  TimeNs host_cpu_ns_per_op = 1500;
-  TimeNs backend_fetch_ns = 10'000;   // Extra host time on a cache miss.
-  TimeNs device_backlog_window_ns = 4'000'000;  // Backpressure threshold.
   uint32_t dlwa_samples = 24;
   bool verify_values = false;  // End-to-end payload verification (slower).
   uint64_t seed = 42;
@@ -275,7 +272,8 @@ class ExperimentRunner {
   void MaybeBackpressure();
 
   // Host bytes the workload has pushed to flash so far: the FDP statistics
-  // log on kSim, the device's write counters on kFile/kUring. Drives the
+  // log on kSim, the tenants' SOC + LOC device bytes on kFile/kUring (plain
+  // counters, so the per-op warm-up check copies no histograms). Drives the
   // warm-up and overwrite-pass progress loops on every backend.
   uint64_t HostBytesWritten() const;
 

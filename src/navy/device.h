@@ -26,11 +26,11 @@
 //
 // Devices are safe for concurrent submitters; see QueuedDevice
 // (src/navy/queued_device.h) for the multi-queue-pair submission/arbitration
-// pipeline both concrete devices build on.
+// pipeline both concrete devices build on. Stats are kept per queue pair
+// (QueuePairStats), one record per completion; DeviceStats is their sum.
 #ifndef SRC_NAVY_DEVICE_H_
 #define SRC_NAVY_DEVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "src/common/histogram.h"
-#include "src/common/thread_annotations.h"
 #include "src/nvme/types.h"
 
 namespace fdpcache {
@@ -112,11 +111,11 @@ struct IoResult {
   uint64_t latency_ns = 0;
 };
 
-// Point-in-time stats snapshot. Counters are mirrored into atomics by the
-// device as completions retire, so snapshots are safe to take from any thread
-// while the async pipeline is in flight (same pattern as ShardedCacheStats:
-// a racing snapshot may pair counters from adjacent completions, which is
-// fine for monitoring; quiescent reads are exact).
+// Completion counters and latency histograms. QueuePairStats extends them
+// per queue pair, and Device::stats() is their sum over the queue pairs.
+// Each queue pair is copied under its own lock, so a snapshot taken while
+// I/O is in flight may pair queue pairs from adjacent completions (fine for
+// monitoring); quiescent reads are exact.
 struct DeviceStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -126,19 +125,24 @@ struct DeviceStats {
   uint64_t io_errors = 0;
   Histogram read_latency_ns;
   Histogram write_latency_ns;
+
+  void Merge(const DeviceStats& other) {
+    reads += other.reads;
+    writes += other.writes;
+    read_bytes += other.read_bytes;
+    write_bytes += other.write_bytes;
+    trims += other.trims;
+    io_errors += other.io_errors;
+    read_latency_ns.Merge(other.read_latency_ns);
+    write_latency_ns.Merge(other.write_latency_ns);
+  }
 };
 
-// Per-queue-pair stats snapshot (the per-QP view of DeviceStats, plus
-// queue-pair-only metrics). Counter semantics match RecordCompletion exactly,
-// so summing every queue pair's counters reproduces the aggregate
-// DeviceStats counters on a quiescent device.
-struct QueuePairStats {
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t read_bytes = 0;
-  uint64_t write_bytes = 0;
-  uint64_t trims = 0;
-  uint64_t io_errors = 0;
+// Per-queue-pair stats: the device layer's one stats store. Each completion
+// is recorded once, in its queue pair's QueuePairStats: a failed request
+// counts in io_errors only, a successful one in its op's counters and
+// latency histogram. Device::stats() sums them.
+struct QueuePairStats : DeviceStats {
   // Requests the arbiter has popped from this QP's submission ring (all ops,
   // including ones that later fail; excludes the inline SyncIo fast path,
   // which never enters a ring).
@@ -153,24 +157,15 @@ struct QueuePairStats {
   // backends; always zero on the inline dispatcher path, whose strict
   // per-QP FIFO needs no tracking.
   uint64_t conflict_defers = 0;
-  Histogram read_latency_ns;
-  Histogram write_latency_ns;
   // SQ occupancy sampled at every Submit (after the push): the queue-depth
   // distribution this QP's submitters actually achieved.
   Histogram queue_depth;
 
   void Merge(const QueuePairStats& other) {
-    reads += other.reads;
-    writes += other.writes;
-    read_bytes += other.read_bytes;
-    write_bytes += other.write_bytes;
-    trims += other.trims;
-    io_errors += other.io_errors;
+    DeviceStats::Merge(other);
     dispatched += other.dispatched;
     admission_waits += other.admission_waits;
     conflict_defers += other.conflict_defers;
-    read_latency_ns.Merge(other.read_latency_ns);
-    write_latency_ns.Merge(other.write_latency_ns);
     queue_depth.Merge(other.queue_depth);
   }
 };
@@ -287,8 +282,7 @@ class Device {
   virtual uint32_t num_queue_pairs() const { return 1; }
 
   // Per-queue-pair stats snapshot (empty for devices without a queued
-  // pipeline). On a quiescent device the per-QP counters sum to the
-  // aggregate DeviceStats counters.
+  // pipeline); stats() is their sum.
   virtual std::vector<QueuePairStats> PerQueuePairStats() const { return {}; }
 
   // Per-execution-lane stats snapshot (empty for devices without execution
@@ -310,36 +304,19 @@ class Device {
     std::atomic_store(&completion_hook_, std::move(next));
   }
 
-  // Lock-free counter snapshot plus mutex-guarded latency histograms; safe to
-  // call concurrently with in-flight I/O.
+  // The sum of PerQueuePairStats(). Safe to call concurrently with in-flight
+  // I/O; zero for devices without queue pairs.
   DeviceStats stats() const {
     DeviceStats out;
-    out.reads = reads_.load(std::memory_order_relaxed);
-    out.writes = writes_.load(std::memory_order_relaxed);
-    out.read_bytes = read_bytes_.load(std::memory_order_relaxed);
-    out.write_bytes = write_bytes_.load(std::memory_order_relaxed);
-    out.trims = trims_.load(std::memory_order_relaxed);
-    out.io_errors = io_errors_.load(std::memory_order_relaxed);
-    fdp::MutexLock lock(&latency_mu_);
-    out.read_latency_ns = read_latency_ns_;
-    out.write_latency_ns = write_latency_ns_;
+    for (const QueuePairStats& qp : PerQueuePairStats()) {
+      out.Merge(qp);
+    }
     return out;
   }
 
-  // Safe to call while I/O is in flight: completions racing the reset land in
-  // whichever epoch their counter store hits, never in torn state. Queued
-  // implementations also clear their per-queue-pair stats.
-  virtual void ResetStats() {
-    reads_.store(0, std::memory_order_relaxed);
-    writes_.store(0, std::memory_order_relaxed);
-    read_bytes_.store(0, std::memory_order_relaxed);
-    write_bytes_.store(0, std::memory_order_relaxed);
-    trims_.store(0, std::memory_order_relaxed);
-    io_errors_.store(0, std::memory_order_relaxed);
-    fdp::MutexLock lock(&latency_mu_);
-    read_latency_ns_.Clear();
-    write_latency_ns_.Clear();
-  }
+  // Clears every stat the device keeps. Safe to call while I/O is in flight:
+  // a racing completion lands wholly before or wholly after the reset.
+  virtual void ResetStats() {}
 
  protected:
   // Fires the registered completion hook, if any. Implementations call this
@@ -351,50 +328,7 @@ class Device {
     }
   }
 
-  // Folds one executed request into the stats. Called by implementations as
-  // each completion retires (from the queue worker, possibly concurrent with
-  // snapshot readers).
-  void RecordCompletion(const IoRequest& request, const IoResult& result) {
-    if (!result.ok) {
-      io_errors_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    switch (request.op) {
-      case IoOp::kRead:
-        reads_.fetch_add(1, std::memory_order_relaxed);
-        read_bytes_.fetch_add(request.size, std::memory_order_relaxed);
-        {
-          fdp::MutexLock lock(&latency_mu_);
-          read_latency_ns_.Record(result.latency_ns);
-        }
-        break;
-      case IoOp::kWrite:
-        writes_.fetch_add(1, std::memory_order_relaxed);
-        write_bytes_.fetch_add(request.size, std::memory_order_relaxed);
-        {
-          fdp::MutexLock lock(&latency_mu_);
-          write_latency_ns_.Record(result.latency_ns);
-        }
-        break;
-      case IoOp::kTrim:
-        trims_.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
-  }
-
  private:
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> read_bytes_{0};
-  std::atomic<uint64_t> write_bytes_{0};
-  std::atomic<uint64_t> trims_{0};
-  std::atomic<uint64_t> io_errors_{0};
-  // Aggregate latency histograms. Nests inside the owning QP lock: queued
-  // completions record per-QP and aggregate stats as one unit under qp.mu
-  // (the PR 9 reset-race fix), so this ranks after kQueuePair.
-  mutable fdp::Mutex latency_mu_{lock_rank::Make(lock_rank::kDeviceStats), "device_stats"};
-  Histogram read_latency_ns_ GUARDED_BY(latency_mu_);
-  Histogram write_latency_ns_ GUARDED_BY(latency_mu_);
   std::shared_ptr<const std::function<void()>> completion_hook_;
 };
 

@@ -28,12 +28,6 @@ IoQueueConfig Normalize(IoQueueConfig config) {
   if (config.num_queue_pairs > kMaxQueuePairs) {
     config.num_queue_pairs = kMaxQueuePairs;
   }
-  config.wrr_weights.resize(config.num_queue_pairs, 1);
-  for (uint32_t& weight : config.wrr_weights) {
-    if (weight == 0) {
-      weight = 1;
-    }
-  }
   if (config.lane_stripe_bytes == 0) {
     config.lane_stripe_bytes = 256 * 1024;
   }
@@ -55,7 +49,6 @@ QueuedDevice::QueuedDevice(const IoQueueConfig& queue_config)
     qps_.push_back(std::make_unique<IoQueuePair>(i));
   }
   trackers_.resize(queue_config_.num_queue_pairs);
-  arb_credit_ = WeightOf(0);
   if (queue_config_.exec_lanes > 0) {
     lanes_ = std::make_unique<ExecLaneEngine>(
         queue_config_.exec_lanes, queue_config_.lane_stripe_bytes,
@@ -100,12 +93,6 @@ void QueuedDevice::StopQueue() {
   if (lanes_ != nullptr) {
     lanes_->Stop();
   }
-}
-
-uint32_t QueuedDevice::WeightOf(uint32_t qp_index) const {
-  return queue_config_.arbitration == QueueArbitration::kWeightedRoundRobin
-             ? queue_config_.wrr_weights[qp_index]
-             : 1;
 }
 
 CompletionToken QueuedDevice::Submit(const IoRequest& request) {
@@ -167,9 +154,7 @@ bool QueuedDevice::AdmissibleLocked(const IoQueuePair& qp, const IoRequest& requ
   if (qp.sq.size() >= queue_config_.sq_depth) {
     return false;
   }
-  const uint64_t window = queue_config_.qp_window_bytes;
-  return window == 0 || qp.outstanding_bytes == 0 ||
-         qp.outstanding_bytes + request.size <= window;
+  return qp.outstanding_bytes == 0 || qp.outstanding_bytes + request.size <= kQpWindowBytes;
 }
 
 std::optional<IoResult> QueuedDevice::Poll(CompletionToken token) {
@@ -244,14 +229,9 @@ IoResult QueuedDevice::SyncIo(const IoRequest& request) {
       ++active_;
       lock.Unlock();
       const IoResult result = Execute(request);
-      const uint32_t qp_index = request.qp % static_cast<uint32_t>(qps_.size());
       {
-        // Both stat sinks update under qp.mu (aggregate nests latency_mu_
-        // inside) so ResetStats, which takes every qp.mu first, can never
-        // split the pair — per-QP counters always sum to the aggregate.
-        IoQueuePair& qp = *qps_[qp_index];
+        IoQueuePair& qp = *qps_[request.qp % static_cast<uint32_t>(qps_.size())];
         fdp::MutexLock qp_lock(&qp.mu);
-        RecordCompletion(request, result);
         RecordQpCompletion(qp, request, result);
       }
       lock.Lock();
@@ -288,8 +268,6 @@ IoResult QueuedDevice::Execute(const IoRequest& request) {
 
 void QueuedDevice::RecordQpCompletion(IoQueuePair& qp, const IoRequest& request,
                                       const IoResult& result) {
-  // Mirrors Device::RecordCompletion so the per-QP counters sum to the
-  // aggregate DeviceStats.
   QueuePairStats& stats = qp.stats;
   if (!result.ok) {
     ++stats.io_errors;
@@ -313,45 +291,31 @@ void QueuedDevice::RecordQpCompletion(IoQueuePair& qp, const IoRequest& request,
 }
 
 bool QueuedDevice::PopNext(Pending* out, uint32_t* out_qp) {
-  // Serve the current QP while it has credit and queued work; an empty ring
-  // forfeits the rest of the slot (NVMe WRR: an idle queue donates its
-  // bandwidth). `scanned <= n` lets the cursor come back around to the
-  // starting QP with fresh credit when everything else is empty.
+  // One request per non-empty queue pair per turn (NVMe round-robin): start
+  // at the cursor, skip empty rings, and leave the cursor just past the
+  // queue pair served.
   const uint32_t n = static_cast<uint32_t>(qps_.size());
-  for (uint32_t scanned = 0; scanned <= n; ++scanned) {
-    IoQueuePair& qp = *qps_[arb_qp_];
-    if (arb_credit_ > 0) {
-      fdp::MutexLock lock(&qp.mu);
-      if (!qp.sq.empty()) {
-        auto it = qp.sq.begin();
-        if (queue_config_.read_priority) {
-          for (auto scan = qp.sq.begin(); scan != qp.sq.end(); ++scan) {
-            if (scan->request.op == IoOp::kRead) {
-              it = scan;
-              break;
-            }
-          }
-        }
-        *out = std::move(*it);
-        qp.sq.erase(it);
-        *out_qp = arb_qp_;
-        ++qp.stats.dispatched;
-        --arb_credit_;
-        if (out->submit_ns != 0 && out->request.trace_id != 0) {
-          obs::RecordSpan(out->request.trace_id, obs::TraceStage::kSqWait,
-                          out->submit_ns, obs::NowNs(),
-                          static_cast<uint8_t>(out->request.op));
-        }
-        // NotifyAll: waiters block on heterogeneous predicates (ring space
-        // vs window headroom for their own request size); waking just one
-        // could pick a still-blocked waiter and strand an admissible one.
-        qp.space_cv.NotifyAll();
-        return true;
-      }
-      // Ring empty: forfeit the rest of this slot and advance below.
-    }
+  for (uint32_t scanned = 0; scanned < n; ++scanned) {
+    const uint32_t index = arb_qp_;
     arb_qp_ = (arb_qp_ + 1) % n;
-    arb_credit_ = WeightOf(arb_qp_);
+    IoQueuePair& qp = *qps_[index];
+    fdp::MutexLock lock(&qp.mu);
+    if (qp.sq.empty()) {
+      continue;
+    }
+    *out = std::move(qp.sq.front());
+    qp.sq.pop_front();
+    *out_qp = index;
+    ++qp.stats.dispatched;
+    if (out->submit_ns != 0 && out->request.trace_id != 0) {
+      obs::RecordSpan(out->request.trace_id, obs::TraceStage::kSqWait, out->submit_ns,
+                      obs::NowNs(), static_cast<uint8_t>(out->request.op));
+    }
+    // NotifyAll: waiters block on heterogeneous predicates (ring space vs
+    // window headroom for their own request size); waking just one could
+    // pick a still-blocked waiter and strand an admissible one.
+    qp.space_cv.NotifyAll();
+    return true;
   }
   return false;
 }
@@ -413,10 +377,6 @@ void QueuedDevice::CompleteLaneTask(const LaneTask& task, const IoResult& result
   {
     IoQueuePair& qp = *qps_[task.qp];
     fdp::MutexLock lock(&qp.mu);
-    // Aggregate and per-QP stats update as one unit under qp.mu (see
-    // SyncIo): ResetStats holds every qp.mu, so a racing reset can no
-    // longer drop one half of the pair (the former histogram reset race).
-    RecordCompletion(task.request, result);
     RecordQpCompletion(qp, task.request, result);
     qp.cq[task.token] = result;
     qp.outstanding.erase(task.token);
@@ -576,25 +536,13 @@ std::vector<LaneStats> QueuedDevice::PerLaneStats() const {
   return lanes_ == nullptr ? std::vector<LaneStats>{} : lanes_->Stats();
 }
 
-// NO_THREAD_SAFETY_ANALYSIS: the static analysis cannot model a dynamic
-// array of locks; the debug lock-rank checker validates the ascending
-// acquire order at run time instead (kQueuePair minors are QP indices).
-void QueuedDevice::ResetStats() NO_THREAD_SAFETY_ANALYSIS {
-  // Hold EVERY queue pair's mutex (ascending index — the same total order
-  // completion paths use: one qp.mu, then latency_mu_ inside
-  // Device::ResetStats/RecordCompletion) across the whole reset. Completions
-  // record their aggregate + per-QP pair atomically under their qp.mu, so a
-  // reset can no longer land between the two recordings and leave the per-QP
-  // sums disagreeing with the aggregate histograms.
+void QueuedDevice::ResetStats() {
+  // A completion records its stats once, under its own queue pair's lock, so
+  // one queue pair at a time suffices: a racing completion lands wholly
+  // before or wholly after its queue pair's clear.
   for (auto& qp : qps_) {
-    qp->mu.Lock();
-  }
-  Device::ResetStats();
-  for (auto& qp : qps_) {
+    fdp::MutexLock lock(&qp->mu);
     qp->stats = QueuePairStats{};
-  }
-  for (auto it = qps_.rbegin(); it != qps_.rend(); ++it) {
-    (*it)->mu.Unlock();
   }
   {
     fdp::MutexLock lock(&tracker_mu_);

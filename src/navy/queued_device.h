@@ -5,10 +5,10 @@
 // device owns N independent IoQueuePairs (each its own mutex-guarded SQ ring
 // and completion table), Submit() routes a request to the queue pair named
 // by IoRequest::qp (wrapped modulo N) and applies backpressure when that
-// ring is full, and ONE dispatcher thread arbitrates across the SQs —
-// round-robin by default, weighted-round-robin via IoQueueConfig weights,
-// optionally serving reads ahead of queued writes within the selected QP's
-// slot. A popped request goes to one of three executors:
+// ring is full or the queue pair's congestion window (kQpWindowBytes) is
+// spent, and ONE dispatcher thread arbitrates across the SQs round-robin,
+// one request per non-empty queue pair per turn (NVMe RR). A popped request
+// goes to one of three executors:
 //
 //   inline (exec_lanes == 0, no async backend): the dispatcher executes it
 //   against the blocking backend (ExecuteWrite/Read/Trim, supplied by the
@@ -31,7 +31,9 @@
 //
 // Completions land in the owning QP's table keyed by token; tokens encode
 // their queue pair, so Poll()/Wait() work from any thread on any token
-// (cross-QP reaping is fine).
+// (cross-QP reaping is fine). Each completion is recorded once, in its
+// queue pair's QueuePairStats under that queue pair's lock; Device::stats()
+// sums them, and ResetStats() clears one queue pair at a time.
 //
 // Ordering: overlapping requests on the SAME queue pair retire in submission
 // order (full per-QP FIFO on the inline path); ordering across queue pairs
@@ -43,6 +45,7 @@
 #ifndef SRC_NAVY_QUEUED_DEVICE_H_
 #define SRC_NAVY_QUEUED_DEVICE_H_
 
+#include <atomic>
 #include <deque>
 #include <memory>
 #include <thread>
@@ -56,13 +59,6 @@
 
 namespace fdpcache {
 
-// How the dispatcher picks the next submission queue to serve (NVMe command
-// arbitration, Base spec §4.13).
-enum class QueueArbitration : uint8_t {
-  kRoundRobin,          // One request per QP per turn (NVMe RR).
-  kWeightedRoundRobin,  // Up to weight[qp] consecutive requests per turn (NVMe WRR).
-};
-
 struct IoQueueConfig {
   // Per-queue-pair submission ring capacity; Submit() blocks (backpressure)
   // when the target QP has this many requests queued and not yet picked up
@@ -70,17 +66,6 @@ struct IoQueueConfig {
   uint32_t sq_depth = 256;
   // Independent SQ/CQ pairs. 1 reproduces the single-queue PR 2 pipeline.
   uint32_t num_queue_pairs = 1;
-  QueueArbitration arbitration = QueueArbitration::kRoundRobin;
-  // Per-QP weights for kWeightedRoundRobin (missing/zero entries count as 1;
-  // ignored under kRoundRobin).
-  std::vector<uint32_t> wrr_weights;
-  // Serve the first queued read of the selected QP ahead of earlier queued
-  // writes/trims in that QP's slot (read latency over write throughput).
-  // This relaxes per-QP FIFO for reads ONLY — safe for the cache engines,
-  // which never issue a device read for an offset with an in-flight write
-  // (in-flight LOC regions and pending SOC buckets are served from host
-  // buffers) — and leaves write/trim relative order untouched.
-  bool read_priority = false;
   // Parallel execution lanes behind the arbiter (see ExecLaneEngine,
   // src/navy/exec_lanes.h). 0 = the dispatcher executes every popped request
   // inline (the PR 3 single-executor pipeline, bit-compatible); N > 0 routes
@@ -93,16 +78,17 @@ struct IoQueueConfig {
   // (region/RU size) so consecutive regions fan out across lanes the way
   // they fan out across dies. 0 falls back to the 256 KiB default.
   uint64_t lane_stripe_bytes = 256 * 1024;
-  // Congestion window: cap on the bytes a queue pair may have outstanding
-  // (queued or executing, counted from admission to completion). Submit()
-  // holds excess requests at the door instead of letting a deep SQ convoy
-  // the backend — the fix for the measured QD-64 throughput collapse, where
-  // 64 queued 256 KiB writes per submitter serialized into one giant backlog
-  // and p99 exploded without any throughput gain over QD 16. A request
-  // larger than the whole window is still admitted once the QP is empty
-  // (no starvation). 0 disables the window (ring depth alone gates).
-  uint64_t qp_window_bytes = 4 * 1024 * 1024;
 };
+
+// Congestion window: cap on the bytes a queue pair may have outstanding
+// (queued or executing, counted from admission to completion). Submit()
+// holds excess requests at the door instead of letting a deep SQ convoy the
+// backend — the fix for the measured QD-64 throughput collapse, where 64
+// queued 256 KiB writes per submitter serialized into one giant backlog and
+// p99 exploded without any throughput gain over QD 16. A request larger
+// than the whole window is still admitted once the QP is empty (no
+// starvation).
+constexpr uint64_t kQpWindowBytes = 4 * 1024 * 1024;
 
 class QueuedDevice : public Device {
  public:
@@ -185,7 +171,7 @@ class QueuedDevice : public Device {
     return false;
   }
 
-  // Publishes one executed request: aggregate + per-QP stats, CQ insert,
+  // Publishes one executed request: per-QP stats, CQ insert,
   // waiter wakeups, window credit, retirement from the conflict tracker
   // (promoting parked requests), and the global active_ decrement. Called
   // from lane workers, the dispatcher (inline path), and async backends'
@@ -210,8 +196,8 @@ class QueuedDevice : public Device {
 
   // One NVMe-style queue pair: SQ ring + completion table + per-QP stats,
   // all guarded by the QP's own mutex so submitters on different queue pairs
-  // never contend. The rank minor is the QP index: sweeps that hold several
-  // QP locks at once (ResetStats) must take them in ascending index order.
+  // never contend. No code holds two QP locks at once; the rank minor is the
+  // QP index, for diagnostics.
   struct IoQueuePair {
     explicit IoQueuePair(uint32_t index)
         : mu(lock_rank::Make(lock_rank::kQueuePair, index), "qp") {}
@@ -225,7 +211,7 @@ class QueuedDevice : public Device {
     // Wait() distinguish "still in flight" from "never existed / reaped".
     std::unordered_set<CompletionToken> outstanding GUARDED_BY(mu);
     // Bytes admitted and not yet completed — the congestion-window meter
-    // (see IoQueueConfig::qp_window_bytes). Charged in Submit, credited in
+    // (see kQpWindowBytes). Charged in Submit, credited in
     // CompleteLaneTask; the SyncIo fast path bypasses it.
     uint64_t outstanding_bytes GUARDED_BY(mu) = 0;
     uint64_t next_seq GUARDED_BY(mu) = 1;  // Low bits of the next token.
@@ -247,13 +233,14 @@ class QueuedDevice : public Device {
     uint64_t defers = 0;  // Total requests that had to park (monotonic).
   };
 
-  uint32_t WeightOf(uint32_t qp_index) const;
-  // Arbitration step: pops the next request across all SQs into `*out`.
-  // Returns false only when every ring is empty.
+  // Arbitration step: pops the next request across all SQs into `*out`,
+  // round-robin from the queue pair after the last one served. Returns false
+  // only when every ring is empty.
   bool PopNext(Pending* out, uint32_t* out_qp);
   // Admission predicate for Submit: ring space AND congestion-window
   // headroom for this request.
   bool AdmissibleLocked(const IoQueuePair& qp, const IoRequest& request) const REQUIRES(qp.mu);
+  // The one stats record of a completion (see QueuePairStats).
   void RecordQpCompletion(IoQueuePair& qp, const IoRequest& request, const IoResult& result)
       REQUIRES(qp.mu);
   // ExecuteBlocking plus the request's device_execute span.
@@ -308,9 +295,9 @@ class QueuedDevice : public Device {
   // the pipeline idle (see kCompletionBatch in queued_device.cc).
   std::atomic<uint32_t> unhooked_completions_{0};
 
-  // Arbitration cursor; touched only by the dispatcher thread.
+  // Arbitration cursor: the queue pair PopNext tries first. Touched only by
+  // the dispatcher thread.
   uint32_t arb_qp_ = 0;
-  uint32_t arb_credit_ = 0;
 
   // The conflict tracker, one QpTracker per queue pair (empty on the inline
   // path). Never held across an Issue/Execute call.

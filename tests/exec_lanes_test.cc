@@ -346,12 +346,13 @@ TEST(ExecLaneConflictTest, SameQpOverlapsChainButCrossQpOverlapsDoNot) {
 // --- Congestion window (gated backend) ---------------------------------------
 
 // The per-QP outstanding-bytes window must stop Submit() from over-filling
-// the pipeline: with a 2-stripe window and stripe-sized writes, the third
-// submission parks in Submit (counted as an admission wait) until a
-// completion returns window bytes.
+// the pipeline: with half-window writes, one stripe each so they alternate
+// lanes, the third submission parks in Submit (counted as an admission wait)
+// until a completion returns window bytes.
 TEST(ExecLaneConflictTest, CongestionWindowParksThirdSubmitUntilCompletion) {
+  constexpr uint64_t kHalfWindow = kQpWindowBytes / 2;
   IoQueueConfig config = LaneConfig(2);
-  config.qp_window_bytes = 2 * kStripe;
+  config.lane_stripe_bytes = kHalfWindow;
   GatedLaneDevice device(config);
   device.CloseGate();
 
@@ -359,7 +360,7 @@ TEST(ExecLaneConflictTest, CongestionWindowParksThirdSubmitUntilCompletion) {
   std::atomic<uint32_t> submitted{0};
   std::thread submitter([&device, &tokens, &submitted] {
     for (uint32_t i = 0; i < 3; ++i) {
-      tokens[i] = device.Submit(WriteAt(i * kStripe, kStripe));
+      tokens[i] = device.Submit(WriteAt(i * kHalfWindow, kHalfWindow));
       submitted.fetch_add(1);
     }
   });
@@ -374,7 +375,7 @@ TEST(ExecLaneConflictTest, CongestionWindowParksThirdSubmitUntilCompletion) {
   }
   EXPECT_EQ(device.PerQueuePairStats()[0].admission_waits, 1u);
   EXPECT_EQ(submitted.load(), 2u);
-  EXPECT_FALSE(device.HasStarted(2 * kStripe));
+  EXPECT_FALSE(device.HasStarted(2 * kHalfWindow));
 
   // Completions return window bytes and release the parked submitter.
   device.OpenGate();

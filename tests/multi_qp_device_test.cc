@@ -1,9 +1,8 @@
 // Multi-queue-pair device pipeline: per-QP submission rings under one
 // arbiter. Covers Drain() racing concurrent Submit() across queue pairs,
-// round-robin and weighted-round-robin dispatch order (observed at the
-// backend), read-over-write priority within a slot, cross-QP token reaping,
-// per-QP FIFO ordering, and per-QP stats summing to the aggregate
-// DeviceStats. Run under ASan/UBSan and TSan in CI.
+// round-robin dispatch order (observed at the backend), cross-QP token
+// reaping, per-QP FIFO ordering, and per-QP stats summing to DeviceStats.
+// Run under ASan/UBSan and TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -69,7 +68,6 @@ class InstrumentedDevice final : public QueuedDevice {
 
   struct Executed {
     uint32_t lane = 0;
-    IoOp op = IoOp::kRead;
   };
   std::vector<Executed> ExecutionOrder() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -85,23 +83,19 @@ class InstrumentedDevice final : public QueuedDevice {
 
  protected:
   IoResult ExecuteWrite(uint64_t offset, const void*, uint64_t, PlacementHandle) override {
-    return Gate(offset, IoOp::kWrite);
+    return Gate(offset);
   }
-  IoResult ExecuteRead(uint64_t offset, void*, uint64_t) override {
-    return Gate(offset, IoOp::kRead);
-  }
-  IoResult ExecuteTrim(uint64_t offset, uint64_t) override {
-    return Gate(offset, IoOp::kTrim);
-  }
+  IoResult ExecuteRead(uint64_t offset, void*, uint64_t) override { return Gate(offset); }
+  IoResult ExecuteTrim(uint64_t offset, uint64_t) override { return Gate(offset); }
 
  private:
-  IoResult Gate(uint64_t offset, IoOp op) {
+  IoResult Gate(uint64_t offset) {
     std::unique_lock<std::mutex> lock(mu_);
     ++parked_;
     parked_cv_.notify_all();
     gate_cv_.wait(lock, [this] { return gate_open_; });
     --parked_;
-    executed_.push_back(Executed{static_cast<uint32_t>(offset / kLaneBytes), op});
+    executed_.push_back(Executed{static_cast<uint32_t>(offset / kLaneBytes)});
     return IoResult{true, 100};
   }
 
@@ -149,74 +143,6 @@ TEST(MultiQpArbitrationTest, RoundRobinAlternatesAcrossBackloggedQueuePairs) {
   for (size_t i = 1; i < order.size(); ++i) {
     EXPECT_EQ(order[i].lane, static_cast<uint32_t>(i % 2)) << "dispatch " << i;
   }
-}
-
-TEST(MultiQpArbitrationTest, WeightedRoundRobinObservesConfiguredRatio) {
-  IoQueueConfig config;
-  config.num_queue_pairs = 2;
-  config.sq_depth = 32;
-  config.arbitration = QueueArbitration::kWeightedRoundRobin;
-  config.wrr_weights = {3, 1};
-  InstrumentedDevice device(config);
-
-  device.CloseGate();
-  std::vector<CompletionToken> tokens;
-  tokens.push_back(device.Submit(WriteOn(0, 0)));
-  ASSERT_TRUE(device.WaitUntilParked());
-  for (uint32_t i = 1; i < 12; ++i) {
-    tokens.push_back(device.Submit(WriteOn(0, i)));
-  }
-  for (uint32_t i = 0; i < 4; ++i) {
-    tokens.push_back(device.Submit(WriteOn(1, i)));
-  }
-  device.OpenGate();
-  device.Drain();
-  for (const CompletionToken token : tokens) {
-    EXPECT_TRUE(device.Wait(token).ok);
-  }
-
-  // Both rings stayed non-empty until QP0's 12 and QP1's 4 requests ran
-  // out, so the 3:1 weights are visible verbatim in the dispatch order:
-  // 0,0,0,1 repeated (the gated first dispatch consumed one unit of QP0's
-  // credit, so the pattern holds from the very start).
-  const auto order = device.ExecutionOrder();
-  ASSERT_EQ(order.size(), 16u);
-  for (size_t i = 0; i < order.size(); ++i) {
-    const uint32_t expected = (i % 4 == 3) ? 1u : 0u;
-    EXPECT_EQ(order[i].lane, expected) << "dispatch " << i;
-  }
-}
-
-TEST(MultiQpArbitrationTest, ReadPriorityServesQueuedReadAheadOfWrites) {
-  IoQueueConfig config;
-  config.num_queue_pairs = 1;
-  config.sq_depth = 32;
-  config.read_priority = true;
-  InstrumentedDevice device(config);
-
-  device.CloseGate();
-  std::vector<CompletionToken> tokens;
-  tokens.push_back(device.Submit(WriteOn(0, 0)));
-  ASSERT_TRUE(device.WaitUntilParked());
-  tokens.push_back(device.Submit(WriteOn(0, 1)));
-  tokens.push_back(device.Submit(WriteOn(0, 2)));
-  std::vector<uint8_t> out(kPage);
-  tokens.push_back(
-      device.Submit(IoRequest::MakeRead(InstrumentedDevice::LaneOffset(0, 3), out.data(), kPage)));
-  device.OpenGate();
-  device.Drain();
-  for (const CompletionToken token : tokens) {
-    EXPECT_TRUE(device.Wait(token).ok);
-  }
-
-  // The read jumped the two queued writes (but never preempted the one
-  // already executing).
-  const auto order = device.ExecutionOrder();
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0].op, IoOp::kWrite);
-  EXPECT_EQ(order[1].op, IoOp::kRead);
-  EXPECT_EQ(order[2].op, IoOp::kWrite);
-  EXPECT_EQ(order[3].op, IoOp::kWrite);
 }
 
 // --- Real-backend tests over the simulated SSD ------------------------------

@@ -1,15 +1,16 @@
-// Regression test for the DeviceStats/QueuePairStats reset race: ResetStats
-// used to clear the aggregate latency histograms while in-flight completions
-// were mid-way through their aggregate-then-per-QP recording pair, leaving
-// the two views permanently inconsistent (and racing the histogram memory).
-// Completions now record both views as one unit under the queue pair's
-// mutex, and ResetStats takes every QP lock (ascending) before clearing, so
-// a reset lands entirely before or entirely after any completion. Run under
-// TSan in CI.
+// ResetStats racing completions on every executor: the inline SyncIo fast
+// path, the dispatcher (Submit + Wait) and a 4-lane pool. Each completion is
+// recorded once, in its queue pair's stats under that queue pair's lock, and
+// ResetStats clears one queue pair at a time, so a reset lands wholly before
+// or wholly after any completion. After the race, a known op mix must show
+// up exactly once in stats() and in the per-QP stats it sums. Run under TSan
+// in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -38,29 +39,48 @@ class CountingDevice final : public QueuedDevice {
   IoResult ExecuteTrim(uint64_t, uint64_t) override { return IoResult{true, 100}; }
 };
 
-TEST(StatsResetRaceTest, ResetRacingCompletionsKeepsViewsConsistent) {
+// One executor under test: how requests are issued, and how many lanes run
+// them.
+struct Executor {
+  const char* name;
+  bool sync_io;  // SyncIo (inline when idle) or Submit + Wait (dispatcher).
+  uint32_t exec_lanes;
+};
+
+void PrintTo(const Executor& executor, std::ostream* os) { *os << executor.name; }
+
+class StatsResetRaceTest : public ::testing::TestWithParam<Executor> {
+ protected:
+  IoResult Issue(CountingDevice& device, const IoRequest& request) const {
+    return GetParam().sync_io ? device.SyncIo(request) : device.Wait(device.Submit(request));
+  }
+};
+
+TEST_P(StatsResetRaceTest, ResetRacingCompletionsKeepsViewsConsistent) {
   IoQueueConfig config;
   config.num_queue_pairs = 4;
+  config.exec_lanes = GetParam().exec_lanes;
   CountingDevice device(config);
 
-  // Phase 1 — the race: submitters hammer SyncIo on every queue pair while
-  // the main thread resets statistics concurrently. TSan validates the
-  // locking; the assertions below validate the counters never tear.
+  // Phase 1 — the race: submitters hammer every queue pair through the
+  // executor under test while the main thread resets statistics
+  // concurrently. TSan validates the locking; the assertions below validate
+  // the counters never tear.
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 2000;
   std::atomic<bool> stop_resets{false};
   std::vector<std::thread> submitters;
   for (int t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&device, t] {
+    submitters.emplace_back([this, &device, t] {
       alignas(kPage) static thread_local uint8_t payload[kPage] = {0};
       uint8_t out[kPage];
       for (int i = 0; i < kOpsPerThread; ++i) {
         const uint64_t offset = (static_cast<uint64_t>(t) * kOpsPerThread + i) * kPage;
         const uint32_t qp = static_cast<uint32_t>(t);
         if (i % 3 == 0) {
-          device.SyncIo(IoRequest::MakeRead(offset % device.size_bytes(), out, kPage, qp));
+          Issue(device, IoRequest::MakeRead(offset % device.size_bytes(), out, kPage, qp));
         } else {
-          device.SyncIo(IoRequest::MakeWrite(offset % device.size_bytes(), payload, kPage,
+          Issue(device, IoRequest::MakeWrite(offset % device.size_bytes(), payload, kPage,
                                              kNoPlacement, qp));
         }
       }
@@ -80,22 +100,21 @@ TEST(StatsResetRaceTest, ResetRacingCompletionsKeepsViewsConsistent) {
   device.Drain();
 
   // Phase 2 — exactness at quiescence: from a clean slate, issue a known op
-  // mix and require the per-QP snapshots to sum to the aggregate EXACTLY
-  // (counters and histogram populations). Before the fix a racing reset
-  // could leave the aggregate missing completions the per-QP view kept.
+  // mix and require stats() and the per-QP snapshots to count it EXACTLY
+  // (counters and histogram populations): every completion recorded once.
   device.ResetStats();
   constexpr int kWrites = 120;
   constexpr int kReads = 60;
   alignas(kPage) static uint8_t payload[kPage] = {0};
   uint8_t out[kPage];
   for (int i = 0; i < kWrites; ++i) {
-    const IoResult r = device.SyncIo(IoRequest::MakeWrite(
+    const IoResult r = Issue(device, IoRequest::MakeWrite(
         static_cast<uint64_t>(i) * kPage, payload, kPage, kNoPlacement,
         static_cast<uint32_t>(i % config.num_queue_pairs)));
     ASSERT_TRUE(r.ok);
   }
   for (int i = 0; i < kReads; ++i) {
-    const IoResult r = device.SyncIo(IoRequest::MakeRead(
+    const IoResult r = Issue(device, IoRequest::MakeRead(
         static_cast<uint64_t>(i) * kPage, out, kPage,
         static_cast<uint32_t>(i % config.num_queue_pairs)));
     ASSERT_TRUE(r.ok);
@@ -125,6 +144,14 @@ TEST(StatsResetRaceTest, ResetRacingCompletionsKeepsViewsConsistent) {
   EXPECT_EQ(qp_write_lat, aggregate.write_latency_ns.Count());
   EXPECT_EQ(qp_read_lat, aggregate.read_latency_ns.Count());
 }
+
+INSTANTIATE_TEST_SUITE_P(Executors, StatsResetRaceTest,
+                         ::testing::Values(Executor{"SyncIo", true, 0},
+                                           Executor{"Dispatcher", false, 0},
+                                           Executor{"FourLanes", false, 4}),
+                         [](const ::testing::TestParamInfo<Executor>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace fdpcache

@@ -1,16 +1,18 @@
 // fdpbench: the CacheBench-analogue driver for this repository. Runs a
 // configurable deployment (workload x utilization x FDP on/off x tenants)
-// and prints the full metrics report, optionally as CSV for scripting.
+// and prints the full metrics report, optionally as CSV for scripting. A
+// malformed or unknown flag exits 2 before the run starts.
 //
 // Examples:
 //   fdpbench --workload=kvcache --utilization=1.0 --fdp=false
 //   fdpbench --workload=twitter --tenants=2 --ops=500000 --csv
 //   fdpbench --workload=wokv --soc=0.16 --op=0.07 --superblocks=512
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/harness/experiment.h"
 #include "src/harness/report.h"
@@ -77,8 +79,8 @@ void PrintUsage() {
       "                                    time metrics are identical with --trace off\n"
       "  --trace-sample=N                  trace 1 in N requests (also accepts 1/N;\n"
       "                                    default 1 = every request)\n"
-      "  --metrics-every=1s                live Prometheus exposition interval (ms or\n"
-      "                                    s suffix; 0/absent = off)\n"
+      "  --metrics-every=1s                live Prometheus exposition interval: N, Nms\n"
+      "                                    (both milliseconds) or Ns; 0/absent = off\n"
       "  --metrics-out=path                snapshot file for --metrics-every (default\n"
       "                                    fdpbench_metrics.prom), or unix:<path> to\n"
       "                                    serve snapshots on a unix-domain socket\n"
@@ -115,6 +117,11 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "unknown --backend=%s (sim|file|uring)\n", backend.c_str());
     return 2;
   }
+  // Count flags fill uint32_t fields: a value that does not fit is refused
+  // rather than wrapped.
+  const auto u32 = [&flags](const char* name, uint32_t def) {
+    return static_cast<uint32_t>(flags.GetUint(name, def, UINT32_MAX));
+  };
   config.device_path = flags.GetString("device-path", "");
   config.device_direct_io = flags.GetBool("direct-io", false);
   config.utilization = flags.GetDouble("utilization", 1.0);
@@ -123,16 +130,16 @@ int Run(int argc, char** argv) {
                                                          : RuhType::kInitiallyIsolated;
   config.soc_fraction = flags.GetDouble("soc", 0.04);
   config.device_op_fraction = flags.GetDouble("op", 0.10);
-  config.ram_bytes = static_cast<uint64_t>(flags.GetInt("ram", 0));
-  config.num_tenants = static_cast<uint32_t>(flags.GetInt("tenants", 1));
-  config.num_superblocks = static_cast<uint32_t>(flags.GetInt("superblocks", 256));
-  config.total_ops = static_cast<uint64_t>(flags.GetInt("ops", 400'000));
-  config.queue_depth = static_cast<uint32_t>(flags.GetInt("qd", 1));
-  config.queue_pairs = static_cast<uint32_t>(flags.GetInt("qps", 1));
-  config.exec_lanes = static_cast<uint32_t>(flags.GetInt("lanes", 0));
-  config.lane_stripe_bytes = static_cast<uint64_t>(flags.GetInt("stripe", 0));
-  config.cache_queue_depth = static_cast<uint32_t>(flags.GetInt("cache-qd", 1));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  config.ram_bytes = flags.GetUint("ram", 0);
+  config.num_tenants = u32("tenants", 1);
+  config.num_superblocks = u32("superblocks", 256);
+  config.total_ops = flags.GetUint("ops", 400'000);
+  config.queue_depth = u32("qd", 1);
+  config.queue_pairs = u32("qps", 1);
+  config.exec_lanes = u32("lanes", 0);
+  config.lane_stripe_bytes = flags.GetUint("stripe", 0);
+  config.cache_queue_depth = u32("cache-qd", 1);
+  config.seed = flags.GetUint("seed", 42);
   config.verify_values = flags.GetBool("verify", false);
   config.workload.seed = config.seed;
   config.static_wear_leveling = flags.GetBool("wear-leveling", false);
@@ -159,20 +166,38 @@ int Run(int argc, char** argv) {
   }
   // Accept both --trace-sample=64 and --trace-sample=1/64.
   const std::string sample = flags.GetString("trace-sample", "1");
-  const size_t slash = sample.find('/');
-  config.trace_sample = static_cast<uint32_t>(std::max(
-      1ll, std::atoll(slash == std::string::npos ? sample.c_str()
-                                                 : sample.c_str() + slash + 1)));
+  const std::string_view one_in =
+      std::string_view(sample).substr(sample.rfind("1/", 0) == 0 ? 2 : 0);
+  uint64_t sample_n = 1;
+  if (!Flags::ParseUint(one_in, UINT32_MAX, &sample_n)) {
+    flags.Fail("trace-sample", sample, "want N or 1/N");
+  }
+  config.trace_sample = static_cast<uint32_t>(std::max<uint64_t>(1, sample_n));
   // --metrics-every takes a duration: "500ms", "1s", or a bare ms count.
   const std::string every = flags.GetString("metrics-every", "0");
-  double every_ms = std::atof(every.c_str());
-  if (every.size() >= 2 && every.compare(every.size() - 2, 2, "ms") == 0) {
-    // Already milliseconds.
-  } else if (!every.empty() && every.back() == 's') {
-    every_ms *= 1000.0;
+  std::string_view number = every;
+  double ms_per_unit = 1.0;
+  if (number.size() >= 2 && number.substr(number.size() - 2) == "ms") {
+    number.remove_suffix(2);
+  } else if (!number.empty() && number.back() == 's') {
+    number.remove_suffix(1);
+    ms_per_unit = 1000.0;
   }
-  config.metrics_interval_ms = static_cast<uint32_t>(std::max(0.0, every_ms));
+  double every_ms = 0.0;
+  if (Flags::ParseDouble(number, &every_ms) && every_ms * ms_per_unit <= UINT32_MAX) {
+    config.metrics_interval_ms = static_cast<uint32_t>(every_ms * ms_per_unit);
+  } else {
+    flags.Fail("metrics-every", every, "want <number>, <number>ms or <number>s");
+  }
   config.metrics_path = flags.GetString("metrics-out", "");
+  const std::string stats_json = flags.GetString("stats-json", "");
+  const bool csv = flags.GetBool("csv", false);
+  // Every flag has been read: refuse a malformed or unknown one before any
+  // run time is spent.
+  if (const std::string error = flags.Error(); !error.empty()) {
+    std::fprintf(stderr, "fdpbench: %s (see --help)\n", error.c_str());
+    return 2;
+  }
 
   // Provisioning failures (e.g. tenants that do not fit the device) throw;
   // report them as a usage error rather than crashing.
@@ -188,7 +213,6 @@ int Run(int argc, char** argv) {
 
   // The JSON dump is written in both text and CSV modes; it touches only the
   // named file, so CSV stdout stays byte-identical to an un-flagged run.
-  const std::string stats_json = flags.GetString("stats-json", "");
   if (!stats_json.empty()) {
     FILE* f = std::fopen(stats_json.c_str(), "w");
     if (f == nullptr) {
@@ -200,7 +224,7 @@ int Run(int argc, char** argv) {
     std::fclose(f);
   }
 
-  if (flags.GetBool("csv", false)) {
+  if (csv) {
     std::printf("workload,utilization,fdp,tenants,dlwa,alwa,hit,nvm_hit,kops,"
                 "p99_read_us,p99_write_us,gc_events,gc_pages,energy_j,verify_failures\n");
     std::printf("%s,%.2f,%d,%u,%.4f,%.3f,%.4f,%.4f,%.2f,%.1f,%.1f,%llu,%llu,%.2f,%llu\n",
@@ -253,7 +277,7 @@ int Run(int argc, char** argv) {
   if (!r.device_lanes.empty()) {
     std::printf("execution lanes (lanes=%u, stripe=%s):\n%s", config.exec_lanes,
                 FormatBytes(config.lane_stripe_bytes != 0 ? config.lane_stripe_bytes
-                                                          : config.loc_region_size)
+                                                          : ExperimentConfig::kLocRegionSize)
                     .c_str(),
                 FormatLaneStats("  ", r.device_lanes).c_str());
     std::printf("die busy (for lane-vs-die cross-check):\n%s",

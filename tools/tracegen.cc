@@ -15,6 +15,15 @@
 namespace fdpcache {
 namespace {
 
+// Call once every flag of the command has been read.
+bool FlagsOk(const Flags& flags) {
+  const std::string error = flags.Error();
+  if (!error.empty()) {
+    std::fprintf(stderr, "tracegen: %s\n", error.c_str());
+  }
+  return error.empty();
+}
+
 int Generate(const Flags& flags) {
   KvWorkloadConfig config;
   const std::string preset = flags.GetString("preset", "kvcache");
@@ -28,11 +37,14 @@ int Generate(const Flags& flags) {
     std::fprintf(stderr, "unknown --preset=%s\n", preset.c_str());
     return 2;
   }
-  config.num_keys = static_cast<uint64_t>(flags.GetInt("keys", 1'000'000));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  config.num_keys = flags.GetUint("keys", 1'000'000);
+  config.seed = flags.GetUint("seed", 1);
   config.zipf_alpha = flags.GetDouble("alpha", config.zipf_alpha);
-  const auto ops = static_cast<uint64_t>(flags.GetInt("ops", 1'000'000));
+  const uint64_t ops = flags.GetUint("ops", 1'000'000);
   const std::string out = flags.GetString("out", "trace.csv");
+  if (!FlagsOk(flags)) {
+    return 2;
+  }
 
   KvTraceGenerator gen(config);
   TraceFileWriter writer(out);
@@ -99,6 +111,9 @@ int Sample(const Flags& flags) {
   const std::string in = flags.GetString("in", "");
   const std::string out = flags.GetString("out", "sampled.csv");
   const double rate = flags.GetDouble("rate", 0.1);
+  if (!FlagsOk(flags)) {
+    return 2;
+  }
   TraceFileReader reader(in);
   if (!reader.ok()) {
     std::fprintf(stderr, "cannot open %s\n", in.c_str());
@@ -138,7 +153,7 @@ int Run(int argc, char** argv) {
     return Generate(flags);
   }
   if (command == "info" && flags.positional().size() > 1) {
-    return Info(flags.positional()[1]);
+    return FlagsOk(flags) ? Info(flags.positional()[1]) : 2;
   }
   if (command == "sample") {
     return Sample(flags);
