@@ -1,8 +1,7 @@
 // Ablation (paper Insight 5): does the cheap "initially isolated" RUH type
 // suffice, or is "persistently isolated" needed? With static SOC/LOC
 // segregation only SOC data moves under GC, so isolation is preserved either
-// way and DLWA matches. Also exercises the pathological conventional
-// controller that shares one write context between host and GC.
+// way and DLWA matches. The conventional (FDP off) row is the baseline.
 #include <cstdio>
 
 #include "bench/bench_util.h"

@@ -67,7 +67,6 @@ SsdConfig SweepSsdConfig(uint32_t num_superblocks) {
   config.geometry.num_dies = 4;
   config.geometry.num_superblocks = num_superblocks;
   config.op_fraction = 0.20;  // Covers one open RU per submitter's RUH.
-  config.store_data = true;
   return config;
 }
 

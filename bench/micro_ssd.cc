@@ -11,14 +11,13 @@
 namespace fdpcache {
 namespace {
 
-SsdConfig MicroSsdConfig(double op_fraction = 0.25, bool store_data = true) {
+SsdConfig MicroSsdConfig(double op_fraction = 0.25) {
   SsdConfig config;
   config.geometry.pages_per_block = 32;
   config.geometry.planes_per_die = 2;
   config.geometry.num_dies = 8;
   config.geometry.num_superblocks = 64;
   config.op_fraction = op_fraction;
-  config.store_data = store_data;
   return config;
 }
 

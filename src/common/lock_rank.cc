@@ -14,9 +14,9 @@ const std::vector<RankInfo>& DocumentedRanks() {
       {kReplayWindow, "replay_window", "ConcurrentReplayDriver async window; callbacks hold no locks"},
       {kShard, "shard", "ShardedCache::Shard::mu; outermost data-path lock (held across SyncIo)"},
       {kCachePoller, "cache_poller", "ShardedCache::poll_mu_; never nests with the shard lock"},
-      {kRamEvict, "ram_evict", "RamCache::evict_mu_; held while taking bucket locks in EvictToBudget"},
-      {kRamBucket, "ram_bucket", "RamCache::Bucket::mu; one bucket at a time, under evict on eviction"},
-      {kRamLimbo, "ram_limbo", "RamCache::limbo_mu_; Retire runs under the eviction lock"},
+      {kRamEvict, "ram_evict", "RamCache::evict_mu_; every writer takes bucket locks under it"},
+      {kRamBucket, "ram_bucket", "RamCache::Bucket::mu; one bucket at a time, always under evict"},
+      {kRamLimbo, "ram_limbo", "RamCache::limbo_mu_; taken once evict and bucket are released"},
       {kLane, "lane", "ExecLaneEngine::Lane::mu; leaf, one lane lock at a time"},
       {kQueuePair, "qp", "QueuedDevice::IoQueuePair::mu; minor = QP index, one held at a time"},
       {kDevicePipeline, "device_pipeline", "QueuedDevice::mu_; dispatcher wake/idle handshake"},

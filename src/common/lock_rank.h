@@ -51,9 +51,10 @@ enum Major : uint32_t {
   kShard = 0x02,        // ShardedCache::Shard::mu
   kCachePoller = 0x03,  // ShardedCache::poll_mu_ (never nests with kShard)
 
-  // RAM cache. EvictToBudget holds the eviction-index lock while taking
-  // bucket writer locks one at a time; Put/Remove release the bucket lock
-  // before touching the eviction index. Retire runs under the eviction lock.
+  // RAM cache. Every writer takes the eviction-index lock first: Put and
+  // Remove then hold one bucket writer lock, and EvictToBudget takes bucket
+  // locks one at a time. Retire and Reclaim take the limbo lock only after
+  // both are released.
   kRamEvict = 0x04,   // RamCache::evict_mu_
   kRamBucket = 0x05,  // RamCache::Bucket::mu (one bucket at a time)
   kRamLimbo = 0x06,   // RamCache::limbo_mu_

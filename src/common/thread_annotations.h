@@ -52,19 +52,11 @@
 #define SCOPED_CAPABILITY FDP_THREAD_ANNOTATION(scoped_lockable)
 // Data member readable/writable only with the capability held.
 #define GUARDED_BY(x) FDP_THREAD_ANNOTATION(guarded_by(x))
-// Pointer member whose pointee is guarded (the pointer itself is not).
-#define PT_GUARDED_BY(x) FDP_THREAD_ANNOTATION(pt_guarded_by(x))
-// Function callable only with the capability already held / not held.
+// Function callable only with the capability already held.
 #define REQUIRES(...) FDP_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define EXCLUDES(...) FDP_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 // Function that acquires / releases the capability itself.
 #define ACQUIRE(...) FDP_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define RELEASE(...) FDP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) FDP_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-// Declared acquisition order between two named mutexes (static twin of the
-// runtime rank check, for the pairs the analysis can name statically).
-#define ACQUIRED_BEFORE(...) FDP_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) FDP_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 // Runtime-checked capability assertion (fdp::Mutex::AssertHeld).
 #define ASSERT_CAPABILITY(x) FDP_THREAD_ANNOTATION(assert_capability(x))
 // Escape hatch for functions the analysis cannot model (dynamic lock
@@ -103,18 +95,6 @@ class CAPABILITY("mutex") Mutex {
     (void)site;
 #endif
     mu_.lock();
-  }
-
-  bool TryLock(const char* site = __builtin_FUNCTION()) TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) {
-      return false;
-    }
-#ifndef NDEBUG
-    fdpcache::lock_rank::NoteAcquire(this, rank_, name_, site);
-#else
-    (void)site;
-#endif
-    return true;
   }
 
   void Unlock() RELEASE() {
@@ -191,8 +171,6 @@ class SCOPED_CAPABILITY MutexLock {
     held_ = true;
   }
 
-  bool OwnsLock() const { return held_; }
-
  private:
   Mutex* mu_;
   bool held_ = false;
@@ -222,15 +200,6 @@ class CondVar {
   bool WaitFor(Mutex* mu, const std::chrono::duration<Rep, Period>& timeout) REQUIRES(mu) {
     std::unique_lock<std::mutex> native(mu->native(), std::adopt_lock);
     const bool signalled = cv_.wait_for(native, timeout) == std::cv_status::no_timeout;
-    native.release();
-    return signalled;
-  }
-
-  template <class Clock, class Duration>
-  bool WaitUntil(Mutex* mu, const std::chrono::time_point<Clock, Duration>& deadline)
-      REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu->native(), std::adopt_lock);
-    const bool signalled = cv_.wait_until(native, deadline) == std::cv_status::no_timeout;
     native.release();
     return signalled;
   }

@@ -17,10 +17,6 @@ Ftl::Ftl(const FtlConfig& config, FtlEventListener* listener)
       gc_open_ru_(1 + config.fdp.num_ruhs(), -1),
       origin_(config.geometry.TotalPages(), -1),
       ruh_stats_(config.fdp.num_ruhs()) {
-  // At least one free RU must always be reserved for GC destinations.
-  if (config_.gc_free_ru_watermark == 0) {
-    config_.gc_free_ru_watermark = 1;
-  }
   free_rus_.reserve(config.geometry.num_superblocks);
   // LIFO pool: lowest-numbered RUs get used first, which makes unit tests
   // deterministic and easy to reason about.
@@ -123,10 +119,10 @@ std::optional<uint32_t> Ftl::OpenRu(int32_t owner, bool gc_destination) {
   // GC-internal allocations may dip into the reserve (transiently to zero;
   // each victim reclaim returns at least one RU).
   if (!in_gc_) {
-    if (free_rus_.size() <= config_.gc_free_ru_watermark) {
+    if (free_rus_.size() <= kGcFreeRuWatermark) {
       MaybeRunGc();
     }
-    if (free_rus_.size() <= config_.gc_free_ru_watermark) {
+    if (free_rus_.size() <= kGcFreeRuWatermark) {
       return std::nullopt;
     }
   }
@@ -201,11 +197,6 @@ int32_t Ftl::GcStreamFor(int32_t victim_owner) const {
 }
 
 std::optional<uint64_t> Ftl::AppendToGcStream(int32_t victim_owner, uint64_t lpn) {
-  if (!config_.fdp_enabled && config_.shared_host_gc_context_when_disabled) {
-    // Conventional controller: relocations share the host's open superblock,
-    // re-intermixing cold survivors with fresh hot writes.
-    return AppendToHostStream(0, lpn);
-  }
   const int32_t stream = GcStreamFor(victim_owner);
   int32_t ru = gc_open_ru_[static_cast<size_t>(stream)];
   if (ru < 0) {
@@ -354,7 +345,7 @@ void Ftl::MaybeRunGc() {
     return;
   }
   in_gc_ = true;
-  while (free_rus_.size() <= config_.gc_free_ru_watermark) {
+  while (free_rus_.size() <= kGcFreeRuWatermark) {
     const std::optional<uint32_t> victim = PickGcVictim();
     if (!victim.has_value()) {
       break;
@@ -374,7 +365,7 @@ uint32_t Ftl::SuperblockEraseCount(uint32_t ru) const {
 }
 
 void Ftl::MaybeWearLevel() {
-  if (in_gc_ || free_rus_.size() <= config_.gc_free_ru_watermark) {
+  if (in_gc_ || free_rus_.size() <= kGcFreeRuWatermark) {
     return;
   }
   // Coldest closed RU (least worn) vs the overall most-worn superblock.
@@ -422,11 +413,6 @@ uint32_t Ftl::RuOriginMixCount(uint32_t ru) const {
     }
   }
   return distinct;
-}
-
-double Ftl::WearFraction() const {
-  return static_cast<double>(media_.max_erase_count()) /
-         static_cast<double>(config_.endurance.rated_pe_cycles);
 }
 
 std::string Ftl::CheckInvariants() const {

@@ -35,6 +35,12 @@ enum class FtlStatus : uint8_t {
   kInternalError,   // Invariant violation; the simulator aborts the operation.
 };
 
+// Free RUs reserved for GC destinations. GC engages lazily, when a host
+// allocation would drop the free pool to this reserve — engaging any earlier
+// would reclaim RUs before their data has had time to invalidate and would
+// waste overprovisioning (victims would still be mostly valid).
+constexpr uint32_t kGcFreeRuWatermark = 1;
+
 struct FtlConfig {
   NandGeometry geometry;
   NandEnduranceParams endurance;
@@ -42,22 +48,11 @@ struct FtlConfig {
   // Device overprovisioning: advertised capacity = physical * (1 - op).
   // The paper's devices expose 7-20% OP; 7% is the conservative default.
   double op_fraction = 0.07;
-  // Free RUs reserved for GC destinations. GC engages lazily, when a host
-  // allocation would drop the free pool to this reserve — engaging any
-  // earlier would reclaim RUs before their data has had time to invalidate
-  // and would waste overprovisioning (victims would still be mostly valid).
-  uint32_t gc_free_ru_watermark = 1;
   // When false the device behaves like a conventional SSD: placement
   // directives are ignored and everything goes through RUH 0 (paper §6.1
-  // uses exactly this to realise the Non-FDP baseline).
+  // uses exactly this to realise the Non-FDP baseline). GC relocations still
+  // go to a dedicated destination RU, like the paper's device.
   bool fdp_enabled = true;
-  // Optional conventional-mode write-context sharing: some low-cost
-  // controllers let host writes and GC relocations share one open superblock,
-  // which re-mixes cold survivors with hot data on every collection and is
-  // catastrophic for DLWA. Off by default — the baseline conventional SSD
-  // keeps a dedicated GC destination like the paper's device; the
-  // ablation_isolation_type bench exercises this mode.
-  bool shared_host_gc_context_when_disabled = false;
 
   // Static wear leveling: when the erase-count spread across superblocks
   // exceeds the threshold, the coldest closed RU (fully valid data parked by
@@ -66,20 +61,6 @@ struct FtlConfig {
   // wear leveling is itself a source of device write amplification.
   bool static_wear_leveling = false;
   uint32_t wear_delta_threshold = 40;
-
-  // Minimum overprovisioning fraction for which the device can always make
-  // forward progress with `active_ruhs` concurrently written handles: every
-  // open host RU, one GC destination per stream, and the free reserve strand
-  // capacity that must come out of OP. Real FDP SSDs have the same
-  // constraint — each RUH pins an open superblock (paper §3.5 limitation 3).
-  static double MinSafeOpFraction(const NandGeometry& geometry, uint32_t active_ruhs,
-                                  uint32_t watermark = 1) {
-    const double stranded_rus = static_cast<double>(active_ruhs) +  // host opens
-                                1.0 +                               // GC destination
-                                static_cast<double>(watermark) + 1.0;
-    return stranded_rus * static_cast<double>(geometry.PagesPerSuperblock()) /
-           static_cast<double>(geometry.TotalPages());
-  }
 };
 
 // Lifecycle state of a reclaim unit.
@@ -164,7 +145,6 @@ class Ftl {
   size_t free_ru_count() const { return free_rus_.size(); }
   const ReclaimUnitInfo& ru_info(uint32_t ru) const { return rus_[ru]; }
   const NandMedia& media() const { return media_; }
-  NandMedia& mutable_media() { return media_; }
 
   const FdpStatistics& stats() const { return stats_; }
   const FtlCounters& counters() const { return counters_; }
@@ -181,9 +161,6 @@ class Ftl {
   // Verifies internal consistency; returns an error description or empty
   // string when all invariants hold. Used heavily by the property tests.
   std::string CheckInvariants() const;
-
-  // Estimated remaining device lifetime fraction given rated P/E cycles.
-  double WearFraction() const;
 
   // --- Provenance -----------------------------------------------------------
   // The simulator tracks, for every programmed physical page, which host RUH

@@ -13,19 +13,14 @@ bool GcUnit::ShouldRun() const {
   return ftl_->free_ru_count() <= config_.soft_free_ru_watermark;
 }
 
-uint32_t GcUnit::BudgetFor(uint32_t host_load) {
+uint32_t GcUnit::BudgetFor(uint32_t host_load) const {
   if (config_.mode != GcMode::kFeedback) {
-    return config_.max_pages_per_tick;
+    return kGcMaxPagesPerTick;
   }
   // Inverse-proportional throttle: budget = max / (1 + load), floored. A busy
   // host sees GC shrink to a trickle; an idle host lets GC catch up at full
-  // rate. The shaved-off budget is recorded so benches can see the feedback
-  // loop actually engaging.
-  const uint32_t scaled = std::max(
-      config_.min_pages_per_tick,
-      config_.max_pages_per_tick / (1u + host_load));
-  stats_.throttled_pages += config_.max_pages_per_tick - scaled;
-  return scaled;
+  // rate.
+  return std::max(kGcMinPagesPerTick, kGcMaxPagesPerTick / (1u + host_load));
 }
 
 bool GcUnit::VictimStillValid() const {
@@ -41,7 +36,7 @@ uint32_t GcUnit::Tick(uint32_t host_load) {
 
   const bool critical = ftl_->free_ru_count() <= config_.critical_free_rus;
   if (config_.mode == GcMode::kFeedback && !critical &&
-      host_load >= config_.host_load_defer_threshold) {
+      host_load >= kGcHostLoadDeferThreshold) {
     ++stats_.deferred_ticks;
     return 0;
   }

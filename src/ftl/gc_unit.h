@@ -31,36 +31,30 @@ enum class GcMode : uint8_t {
               // cold dies, and lets foreground reads suspend erases.
 };
 
+// Migration budget per tick. Feedback mode scales the budget down toward
+// kGcMinPagesPerTick as host load rises; naive mode always spends the max.
+constexpr uint32_t kGcMaxPagesPerTick = 8;
+constexpr uint32_t kGcMinPagesPerTick = 1;
+// Feedback only: defer the whole tick (no migration) when the host has at
+// least this many commands in flight — unless the pool is critically low.
+constexpr uint32_t kGcHostLoadDeferThreshold = 4;
+
 struct GcConfig {
   GcMode mode = GcMode::kOff;
 
   // Engage when the free-RU pool drops to this many (foreground lazy GC still
-  // backstops at FtlConfig::gc_free_ru_watermark). Must be > the foreground
-  // watermark to be useful.
+  // backstops at kGcFreeRuWatermark). Must be > the foreground watermark to
+  // be useful.
   uint32_t soft_free_ru_watermark = 4;
 
-  // Migration budget per tick. Feedback mode scales the budget down toward
-  // min_pages_per_tick as host load rises; naive mode always spends the max.
-  uint32_t max_pages_per_tick = 8;
-  uint32_t min_pages_per_tick = 1;
-
-  // Feedback only: defer the whole tick (no migration) when the host has at
-  // least this many commands in flight — unless the pool is critically low.
-  uint32_t host_load_defer_threshold = 4;
   // Never defer below this many free RUs; survival beats politeness.
   uint32_t critical_free_rus = 2;
-
-  // Feedback only: open fresh RUs with their stripe phased onto the coldest
-  // die, and let foreground reads preempt in-progress erases.
-  bool cold_die_placement = true;
-  bool erase_suspend = true;
 };
 
 struct GcUnitStats {
   uint64_t ticks = 0;            // Tick() calls.
   uint64_t active_ticks = 0;     // ... that migrated at least one page.
   uint64_t deferred_ticks = 0;   // ... skipped because of host load.
-  uint64_t throttled_pages = 0;  // Budget shaved off by load feedback.
   uint64_t migrated_pages = 0;
   uint64_t erases = 0;           // Victims fully reclaimed.
   uint64_t victims_abandoned = 0;  // Victim invalidated/reused mid-migration.
@@ -86,7 +80,7 @@ class GcUnit {
   // Pool is low enough to work, or a half-migrated victim needs finishing.
   bool ShouldRun() const;
   // Load-adjusted page budget for this tick.
-  uint32_t BudgetFor(uint32_t host_load);
+  uint32_t BudgetFor(uint32_t host_load) const;
   // True if the remembered victim is still the closed RU we started on.
   bool VictimStillValid() const;
 

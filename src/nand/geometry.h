@@ -23,7 +23,6 @@ struct NandGeometry {
 
   constexpr uint32_t BlocksPerSuperblock() const { return planes_per_die * num_dies; }
   constexpr uint32_t PagesPerSuperblock() const { return pages_per_block * BlocksPerSuperblock(); }
-  constexpr uint64_t BlockBytes() const { return pages_per_block * page_size_bytes; }
   constexpr uint64_t SuperblockBytes() const { return PagesPerSuperblock() * page_size_bytes; }
   constexpr uint64_t TotalBlocks() const {
     return static_cast<uint64_t>(num_superblocks) * BlocksPerSuperblock();

@@ -222,7 +222,6 @@ bool LargeObjectCache::SealAndRotate() {
   RegionInfo& sealed = regions_[open_region_];
   sealed.sealed = true;
   sealed.seal_seq = ++seal_seq_;
-  sealed.last_access_seq = access_seq_;
   ++stats_.regions_sealed;
 
   uint32_t next;
@@ -240,16 +239,13 @@ bool LargeObjectCache::SealAndRotate() {
 
 uint32_t LargeObjectCache::PickEvictionVictim() {
   uint32_t best = 0;
-  uint64_t best_score = ~0ull;
+  uint64_t best_seq = ~0ull;
   for (uint32_t r = 0; r < num_regions_; ++r) {
     if (r == open_region_ || !regions_[r].sealed) {
       continue;
     }
-    const uint64_t score = config_.eviction == LocEvictionPolicy::kFifo
-                               ? regions_[r].seal_seq
-                               : regions_[r].last_access_seq;
-    if (score < best_score) {
-      best_score = score;
+    if (regions_[r].seal_seq < best_seq) {
+      best_seq = regions_[r].seal_seq;
       best = r;
     }
   }
@@ -289,7 +285,6 @@ LargeObjectCache::ReadPlan LargeObjectCache::LookupStart(std::string_view key,
     return plan;
   }
   const ItemLoc loc = it->second;
-  regions_[loc.region].last_access_seq = ++access_seq_;
   plan.region = loc.region;
   plan.item_offset = loc.offset;
   plan.item_length = loc.length;
@@ -494,7 +489,6 @@ bool LargeObjectCache::RestoreState(const std::string& blob) {
     region.seal_seq = seq;
     region.sealed = sealed != 0;
     region.keys.clear();
-    region.last_access_seq = seq;
   }
   uint64_t entries = 0;
   if (!TakeU64(blob, &pos, &entries)) {
@@ -527,14 +521,6 @@ bool LargeObjectCache::RestoreState(const std::string& blob) {
   open_offset_ = 0;
   std::fill(open_buffer_.begin(), open_buffer_.end(), 0);
   return true;
-}
-
-std::optional<uint32_t> LargeObjectCache::RegionOf(std::string_view key) const {
-  const auto it = index_.find(std::string(key));
-  if (it == index_.end()) {
-    return std::nullopt;
-  }
-  return it->second.region;
 }
 
 }  // namespace fdpcache

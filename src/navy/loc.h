@@ -2,8 +2,8 @@
 // (CacheLib's BlockCache; paper §2.3).
 //
 // Items are appended into an in-RAM open region; full regions are sealed and
-// written to the device sequentially. Eviction recycles whole regions (FIFO
-// or region-LRU), which makes the device-visible write pattern purely
+// written to the device sequentially. Eviction recycles whole regions in seal
+// order (FIFO), which makes the device-visible write pattern purely
 // sequential — the stream the paper leaves at DLWA ~ 1.
 //
 // With `inflight_regions > 0` the seal is asynchronous: the sealed region's
@@ -28,17 +28,11 @@
 
 namespace fdpcache {
 
-enum class LocEvictionPolicy : uint8_t {
-  kFifo,  // Recycle regions in seal order (paper default).
-  kLru,   // Recycle the least recently read region.
-};
-
 struct LocConfig {
   uint64_t base_offset = 0;
   uint64_t size_bytes = 0;            // Must be a multiple of region_size.
   uint64_t region_size = 2 * 1024 * 1024;
   PlacementHandle placement = kNoPlacement;
-  LocEvictionPolicy eviction = LocEvictionPolicy::kFifo;
   // Issue a TRIM for a region when it is evicted (the paper's shelved
   // RU-aware eviction exploration, §5.5 lesson 1; off by default).
   bool trim_on_evict = false;
@@ -135,11 +129,7 @@ class LargeObjectCache {
 
   const LocStats& stats() const { return stats_; }
   void ResetStats() { stats_ = LocStats{}; }
-  uint32_t num_regions() const { return num_regions_; }
   uint64_t IndexMemoryBytes() const;
-
-  // Which region currently backs an item (tests / RU-alignment studies).
-  std::optional<uint32_t> RegionOf(std::string_view key) const;
 
   // --- Persistence (CacheLib-style warm restart) ----------------------------
   // Serializes the in-RAM index and region metadata into a blob the host
@@ -158,8 +148,7 @@ class LargeObjectCache {
   };
 
   struct RegionInfo {
-    uint64_t seal_seq = 0;        // FIFO order; 0 = never sealed.
-    uint64_t last_access_seq = 0; // For LRU.
+    uint64_t seal_seq = 0;          // FIFO order; 0 = never sealed.
     std::vector<std::string> keys;  // Keys written into this region.
     bool sealed = false;
   };
@@ -222,7 +211,6 @@ class LargeObjectCache {
   uint64_t open_offset_ = 0;
   std::vector<uint8_t> open_buffer_;
   uint64_t seal_seq_ = 0;
-  uint64_t access_seq_ = 0;
 
   std::deque<InFlightRegion> inflight_;
   std::vector<std::vector<uint8_t>> buffer_pool_;

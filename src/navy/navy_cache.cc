@@ -24,11 +24,10 @@ AsyncResult MakeStatus(AsyncStatus status) {
 NavyCache::NavyCache(Device* device, const NavyConfig& config,
                      PlacementHandleAllocator* allocator, AdmissionPolicy* admission)
     : device_(device), config_(config), admission_(admission) {
-  const uint64_t page = device_->page_size();
   const uint64_t total = config_.size_bytes == 0 ? device_->size_bytes() : config_.size_bytes;
   // SOC gets its fraction rounded to whole buckets; LOC gets whole regions.
   soc_size_ = RoundUp(static_cast<uint64_t>(static_cast<double>(total) * config_.soc_fraction),
-                      config_.soc_bucket_size);
+                      kSocBucketSize);
   const uint64_t loc_space = total - soc_size_;
   loc_size_ = loc_space / config_.loc_region_size * config_.loc_region_size;
 
@@ -43,9 +42,7 @@ NavyCache::NavyCache(Device* device, const NavyConfig& config,
   SocConfig soc;
   soc.base_offset = config_.base_offset;
   soc.size_bytes = soc_size_;
-  soc.bucket_size = config_.soc_bucket_size;
   soc.placement = soc_handle_;
-  soc.use_bloom_filters = config_.soc_bloom_filters;
   soc.inflight_writes = config_.soc_inflight_writes;
   soc.queue_pair = soc_qp_;
   soc_ = std::make_unique<SmallObjectCache>(device_, soc);
@@ -55,12 +52,10 @@ NavyCache::NavyCache(Device* device, const NavyConfig& config,
   loc.size_bytes = loc_size_;
   loc.region_size = config_.loc_region_size;
   loc.placement = loc_handle_;
-  loc.eviction = config_.loc_eviction;
   loc.trim_on_evict = config_.loc_trim_on_evict;
   loc.inflight_regions = config_.loc_inflight_regions;
   loc.queue_pair = loc_qp_;
   loc_ = std::make_unique<LargeObjectCache>(device_, loc);
-  (void)page;
 }
 
 NavyCache::~NavyCache() { DrainAsync(); }
@@ -163,7 +158,7 @@ void NavyCache::StartSocLookup(std::unique_ptr<AsyncOp> op) {
     op->stage = AsyncOp::Stage::kSocLookupRead;
     op->bucket_id = plan.bucket_id;
     op->soc_plan = plan;
-    ParkOp(std::move(op), plan.offset, config_.soc_bucket_size, soc_qp_);
+    ParkOp(std::move(op), plan.offset, kSocBucketSize, soc_qp_);
     return;
   }
   if (plan.value.has_value()) {
@@ -263,7 +258,7 @@ void NavyCache::StartSocRmw(std::unique_ptr<AsyncOp> op) {
     }
     busy_buckets_.insert(plan.bucket_id);
     op->bucket_id = plan.bucket_id;
-    ParkOp(std::move(op), plan.offset, config_.soc_bucket_size, soc_qp_);
+    ParkOp(std::move(op), plan.offset, kSocBucketSize, soc_qp_);
     return;
   }
   const SmallObjectCache::ReadPlan plan = soc_->RemoveStart(op->key);
@@ -274,7 +269,7 @@ void NavyCache::StartSocRmw(std::unique_ptr<AsyncOp> op) {
   }
   busy_buckets_.insert(plan.bucket_id);
   op->bucket_id = plan.bucket_id;
-  ParkOp(std::move(op), plan.offset, config_.soc_bucket_size, soc_qp_);
+  ParkOp(std::move(op), plan.offset, kSocBucketSize, soc_qp_);
 }
 
 void NavyCache::StepOp(std::unique_ptr<AsyncOp> op, const IoResult& io) {

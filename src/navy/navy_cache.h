@@ -30,10 +30,7 @@ struct NavyConfig {
   uint64_t small_item_max_bytes = 2048;
   // Fraction of the device space given to the SOC (paper default: 4%).
   double soc_fraction = 0.04;
-  uint32_t soc_bucket_size = 4096;
-  bool soc_bloom_filters = true;
   uint64_t loc_region_size = 2 * 1024 * 1024;
-  LocEvictionPolicy loc_eviction = LocEvictionPolicy::kFifo;
   bool loc_trim_on_evict = false;
   // Asynchronous flash-write pipelining (0 = synchronous, the conservative
   // default): how many sealed LOC regions / SOC bucket rewrites may be in

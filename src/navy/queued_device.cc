@@ -15,10 +15,6 @@ namespace {
 constexpr uint32_t kCompletionBatch = 16;
 
 IoQueueConfig Normalize(IoQueueConfig config) {
-  // Tokens reserve the bits above kQpShift (16 of 64) for the queue-pair
-  // index; more queue pairs than that would alias tokens across QPs and
-  // break Poll/Wait routing.
-  constexpr uint32_t kMaxQueuePairs = 1u << 16;
   if (config.sq_depth == 0) {
     config.sq_depth = 1;
   }
@@ -31,9 +27,6 @@ IoQueueConfig Normalize(IoQueueConfig config) {
   if (config.lane_stripe_bytes == 0) {
     config.lane_stripe_bytes = 256 * 1024;
   }
-  // Each lane is a real thread; cap the count so a config typo cannot fork
-  // thousands of workers.
-  constexpr uint32_t kMaxExecLanes = 256;
   if (config.exec_lanes > kMaxExecLanes) {
     config.exec_lanes = kMaxExecLanes;
   }

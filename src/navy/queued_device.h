@@ -80,6 +80,15 @@ struct IoQueueConfig {
   uint64_t lane_stripe_bytes = 256 * 1024;
 };
 
+// Bounds QueuedDevice clamps IoQueueConfig to; fdpbench refuses larger
+// --qps/--lanes values instead. Each queue pair keeps its own completion
+// stats (three 15 KiB latency histograms, copied again by
+// PerQueuePairStats), so the pair count stays far below the 2^16 the token
+// layout could address. Each lane is a real thread, so a config typo must
+// not fork thousands of workers.
+constexpr uint32_t kMaxQueuePairs = 1024;
+constexpr uint32_t kMaxExecLanes = 256;
+
 // Congestion window: cap on the bytes a queue pair may have outstanding
 // (queued or executing, counted from admission to completion). Submit()
 // holds excess requests at the door instead of letting a deep SQ convoy the

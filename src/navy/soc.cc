@@ -7,13 +7,10 @@ namespace fdpcache {
 SmallObjectCache::SmallObjectCache(Device* device, const SocConfig& config)
     : device_(device),
       config_(config),
-      num_buckets_(config.size_bytes / config.bucket_size),
-      bucket_gens_(config.size_bytes / config.bucket_size, 0),
-      scratch_(config.bucket_size) {
-  if (config_.use_bloom_filters && num_buckets_ > 0) {
-    blooms_.emplace(num_buckets_, config_.bloom_bits_per_bucket);
-  }
-}
+      num_buckets_(config.size_bytes / kSocBucketSize),
+      bucket_gens_(num_buckets_, 0),
+      blooms_(num_buckets_),
+      scratch_(kSocBucketSize) {}
 
 uint64_t SmallObjectCache::BucketOf(std::string_view key) const {
   return HashString(key) % num_buckets_;
@@ -23,7 +20,7 @@ SmallObjectCache::~SmallObjectCache() { Flush(); }
 
 std::vector<uint8_t> SmallObjectCache::AcquireBuffer() {
   if (buffer_pool_.empty()) {
-    return std::vector<uint8_t>(config_.bucket_size);
+    return std::vector<uint8_t>(kSocBucketSize);
   }
   std::vector<uint8_t> buffer = std::move(buffer_pool_.back());
   buffer_pool_.pop_back();
@@ -68,11 +65,9 @@ bool SmallObjectCache::RetireOldest(bool blocking) {
     // bucket is still queued behind us, since that one supersedes this and
     // a trim submitted now would execute after it (FIFO).
     if (FindPending(bucket_id) == nullptr) {
-      device_->Trim(config_.base_offset + bucket_id * config_.bucket_size,
-                    config_.bucket_size, config_.queue_pair);
-      if (blooms_.has_value()) {
-        blooms_->ClearBucket(bucket_id);
-      }
+      device_->Trim(config_.base_offset + bucket_id * kSocBucketSize, kSocBucketSize,
+                    config_.queue_pair);
+      blooms_.ClearBucket(bucket_id);
     }
   }
   return true;
@@ -101,31 +96,31 @@ const uint8_t* SmallObjectCache::PendingImage(uint64_t bucket_id) {
 }
 
 Bucket SmallObjectCache::ParseBucket(const uint8_t* image) {
-  std::optional<Bucket> bucket = Bucket::Parse(image, config_.bucket_size);
+  std::optional<Bucket> bucket = Bucket::Parse(image, kSocBucketSize);
   if (!bucket.has_value()) {
     ++stats_.corrupt_buckets;
-    return Bucket(config_.bucket_size);
+    return Bucket(kSocBucketSize);
   }
   return *bucket;
 }
 
 void SmallObjectCache::RefillBloom(uint64_t bucket_id, const Bucket& bucket) {
-  blooms_->ClearBucket(bucket_id);
+  blooms_.ClearBucket(bucket_id);
   for (const Bucket::Entry entry : bucket) {
-    blooms_->Add(bucket_id, HashString(entry.key));
+    blooms_.Add(bucket_id, HashString(entry.key));
   }
 }
 
 bool SmallObjectCache::StoreBucket(uint64_t bucket_id, const Bucket& bucket,
                                    std::vector<uint8_t> image) {
   ++bucket_gens_[bucket_id];
-  const uint64_t offset = config_.base_offset + bucket_id * config_.bucket_size;
+  const uint64_t offset = config_.base_offset + bucket_id * kSocBucketSize;
   // `bucket` views `image`'s heap bytes, which stay put (and unmodified)
   // whether the vector parks in the pending ring or returns to the pool.
   if (config_.inflight_writes == 0) {
     // Synchronous rewrite: device errors surface to the caller immediately.
-    const bool written = device_->Write(offset, image.data(), config_.bucket_size,
-                                        config_.placement, config_.queue_pair);
+    const bool written = device_->Write(offset, image.data(), kSocBucketSize, config_.placement,
+                                        config_.queue_pair);
     buffer_pool_.push_back(std::move(image));
     if (!written) {
       return false;
@@ -138,15 +133,12 @@ bool SmallObjectCache::StoreBucket(uint64_t bucket_id, const Bucket& bucket,
     PendingWrite entry;
     entry.bucket_id = bucket_id;
     entry.buffer = std::move(image);
-    entry.token = device_->Submit(IoRequest::MakeWrite(offset, entry.buffer.data(),
-                                                       config_.bucket_size, config_.placement,
-                                                       config_.queue_pair));
+    entry.token = device_->Submit(IoRequest::MakeWrite(offset, entry.buffer.data(), kSocBucketSize,
+                                                       config_.placement, config_.queue_pair));
     pending_.push_back(std::move(entry));
   }
-  stats_.bytes_written += config_.bucket_size;
-  if (blooms_.has_value()) {
-    RefillBloom(bucket_id, bucket);
-  }
+  stats_.bytes_written += kSocBucketSize;
+  RefillBloom(bucket_id, bucket);
   return true;
 }
 
@@ -180,7 +172,7 @@ SmallObjectCache::ReadPlan SmallObjectCache::InsertStart(std::string_view key,
     return plan;
   }
   plan.bucket_id = BucketOf(key);
-  plan.offset = config_.base_offset + plan.bucket_id * config_.bucket_size;
+  plan.offset = config_.base_offset + plan.bucket_id * kSocBucketSize;
   if (const uint8_t* image = PendingImage(plan.bucket_id)) {
     plan.ok = CommitInsert(key, value, plan.bucket_id, ParseBucket(image));
     return plan;
@@ -210,7 +202,7 @@ bool SmallObjectCache::Insert(std::string_view key, std::string_view value) {
     return plan.ok;
   }
   const bool io_ok =
-      device_->Read(plan.offset, scratch_.data(), config_.bucket_size, config_.queue_pair);
+      device_->Read(plan.offset, scratch_.data(), kSocBucketSize, config_.queue_pair);
   return InsertFinish(key, value, plan.bucket_id, scratch_.data(), io_ok);
 }
 
@@ -224,9 +216,9 @@ SmallObjectCache::ReadPlan SmallObjectCache::LookupStart(std::string_view key,
     return plan;
   }
   plan.bucket_id = BucketOf(key);
-  plan.offset = config_.base_offset + plan.bucket_id * config_.bucket_size;
+  plan.offset = config_.base_offset + plan.bucket_id * kSocBucketSize;
   plan.bucket_gen = bucket_gens_[plan.bucket_id];
-  if (blooms_.has_value() && !blooms_->MayContain(plan.bucket_id, HashString(key))) {
+  if (!blooms_.MayContain(plan.bucket_id, HashString(key))) {
     ++stats_.bloom_rejects;
     return plan;
   }
@@ -277,7 +269,7 @@ std::optional<std::string> SmallObjectCache::Lookup(std::string_view key) {
       return plan.value;
     }
     const bool io_ok =
-        device_->Read(plan.offset, scratch_.data(), config_.bucket_size, config_.queue_pair);
+        device_->Read(plan.offset, scratch_.data(), kSocBucketSize, config_.queue_pair);
     std::string value;
     switch (LookupFinish(key, plan, scratch_.data(), io_ok, &value)) {
       case FinishStatus::kHit:
@@ -292,14 +284,11 @@ std::optional<std::string> SmallObjectCache::Lookup(std::string_view key) {
 
 uint64_t SmallObjectCache::RecoverBloomFilters() {
   Flush();  // The scan below reads the device directly.
-  if (!blooms_.has_value()) {
-    return 0;
-  }
   uint64_t populated = 0;
   for (uint64_t bucket_id = 0; bucket_id < num_buckets_; ++bucket_id) {
-    blooms_->ClearBucket(bucket_id);
-    const uint64_t offset = config_.base_offset + bucket_id * config_.bucket_size;
-    if (!device_->Read(offset, scratch_.data(), config_.bucket_size, config_.queue_pair)) {
+    blooms_.ClearBucket(bucket_id);
+    const uint64_t offset = config_.base_offset + bucket_id * kSocBucketSize;
+    if (!device_->Read(offset, scratch_.data(), kSocBucketSize, config_.queue_pair)) {
       continue;
     }
     const Bucket bucket = ParseBucket(scratch_.data());
@@ -316,10 +305,7 @@ bool SmallObjectCache::MayContain(std::string_view key) const {
   if (num_buckets_ == 0) {
     return false;
   }
-  if (!blooms_.has_value()) {
-    return true;
-  }
-  return blooms_->MayContain(BucketOf(key), HashString(key));
+  return blooms_.MayContain(BucketOf(key), HashString(key));
 }
 
 bool SmallObjectCache::CommitRemove(std::string_view key, uint64_t bucket_id,
@@ -343,11 +329,11 @@ SmallObjectCache::ReadPlan SmallObjectCache::RemoveStart(std::string_view key) {
     return plan;
   }
   plan.bucket_id = BucketOf(key);
-  plan.offset = config_.base_offset + plan.bucket_id * config_.bucket_size;
+  plan.offset = config_.base_offset + plan.bucket_id * kSocBucketSize;
   // Definite absence needs no read-modify-write at all — this keeps async
   // removes of never-inserted keys (a first-class replay op) from claiming
   // the bucket and parking a full bucket read.
-  if (blooms_.has_value() && !blooms_->MayContain(plan.bucket_id, HashString(key))) {
+  if (!blooms_.MayContain(plan.bucket_id, HashString(key))) {
     ++stats_.bloom_rejects;
     return plan;
   }
@@ -377,7 +363,7 @@ bool SmallObjectCache::Remove(std::string_view key) {
     return plan.ok;
   }
   const bool io_ok =
-      device_->Read(plan.offset, scratch_.data(), config_.bucket_size, config_.queue_pair);
+      device_->Read(plan.offset, scratch_.data(), kSocBucketSize, config_.queue_pair);
   return RemoveFinish(key, plan.bucket_id, scratch_.data(), io_ok);
 }
 

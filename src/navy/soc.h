@@ -29,13 +29,13 @@
 
 namespace fdpcache {
 
+// One device page per bucket.
+constexpr uint32_t kSocBucketSize = 4096;
+
 struct SocConfig {
-  uint64_t base_offset = 0;    // Byte offset of the SOC area on the device.
-  uint64_t size_bytes = 0;     // Total SOC size; must be a bucket multiple.
-  uint32_t bucket_size = 4096; // One device page per bucket.
+  uint64_t base_offset = 0;  // Byte offset of the SOC area on the device.
+  uint64_t size_bytes = 0;   // Total SOC size; must be a bucket multiple.
   PlacementHandle placement = kNoPlacement;
-  uint32_t bloom_bits_per_bucket = 64;
-  bool use_bloom_filters = true;
   // Maximum bucket rewrites whose device writes may be outstanding at once.
   // 0 = synchronous rewrites (legacy behaviour: StoreBucket blocks and
   // surfaces device errors as insert failures).
@@ -89,7 +89,7 @@ class SmallObjectCache {
   // Each operation splits into a Start step (bloom filters, pending-buffer
   // consult, read planning — everything resolvable without touching the
   // device) and a Finish step (parse + bucket rewrite). When Start returns
-  // needs_read, the caller reads `bucket_size` bytes at `offset` however it
+  // needs_read, the caller reads kSocBucketSize bytes at `offset` however it
   // likes — Submit() and park for the async path, a blocking Read for the
   // sync one — and then calls the matching Finish with the buffer. The
   // blocking Insert/Lookup/Remove above drive exactly these steps, so both
@@ -149,7 +149,7 @@ class SmallObjectCache {
   uint64_t BucketOf(std::string_view key) const;
   const SocStats& stats() const { return stats_; }
   void ResetStats() { stats_ = SocStats{}; }
-  uint64_t MemoryBytes() const { return blooms_ ? blooms_->MemoryBytes() : 0; }
+  uint64_t MemoryBytes() const { return blooms_.MemoryBytes(); }
 
  private:
   // A bucket rewrite whose device write is still outstanding; `buffer`
@@ -193,7 +193,7 @@ class SmallObjectCache {
   // rewrite retired while it was in flight (8 bytes/bucket, the same order
   // of DRAM as the bloom filters).
   std::vector<uint64_t> bucket_gens_;
-  std::optional<BucketBloomFilters> blooms_;
+  BucketBloomFilters blooms_;
   std::vector<uint8_t> scratch_;  // Read buffer of the blocking ops.
   std::deque<PendingWrite> pending_;
   // Spare bucket buffers: each rewrite builds its new image in one.

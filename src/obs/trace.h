@@ -239,18 +239,16 @@ class TraceController {
 
   Ring* RingForThisThread();
 
-  // Guards rings_ registration and control state. Deep leaf: a thread's
-  // FIRST RecordSpan registers its ring while arbitrary stack locks are
-  // held above, so nothing may ever be acquired beneath it except the
-  // metrics locks.
+  // Guards rings_ registration and control state. Innermost lock: a
+  // thread's FIRST RecordSpan registers its ring while arbitrary stack locks
+  // are held above, so nothing may ever be acquired beneath it.
   mutable fdp::Mutex mu_{lock_rank::Make(lock_rank::kTrace), "trace"};
   std::vector<std::shared_ptr<Ring>> rings_ GUARDED_BY(mu_);
   std::atomic<uint32_t> sample_every_{1};
   std::atomic<uint64_t> next_id_{0};
 };
 
-// --- Export & attribution (compiled regardless of the build-time switch; they
-// --- only run on collected data) ---------------------------------------------
+// --- Export & attribution (run on collected data) ----------------------------
 
 // Writes chrome://tracing "complete" events ({"traceEvents": [...]}) that
 // Perfetto / chrome://tracing load directly. Returns false on I/O error.

@@ -19,7 +19,6 @@
 #define SRC_SSD_DATA_STORE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -30,72 +29,28 @@ class DataStore {
   // A page buffer whose lifetime is decoupled from the frame table.
   using Frame = std::shared_ptr<uint8_t[]>;
 
-  DataStore(uint64_t num_pages, uint64_t page_size, bool enabled)
-      : page_size_(page_size), enabled_(enabled) {
-    if (enabled_) {
-      frames_.resize(num_pages);
-    }
-  }
-
-  void Write(uint64_t lpn, const void* data) {
-    if (!enabled_ || data == nullptr) {
-      return;
-    }
-    std::memcpy(WriteFrame(lpn).get(), data, page_size_);
-  }
-
-  // Fills `out` with the page contents, or zeroes when never written/trimmed.
-  void Read(uint64_t lpn, void* out) const {
-    const Frame frame = ReadFrame(lpn);
-    if (frame) {
-      std::memcpy(out, frame.get(), page_size_);
-    } else {
-      std::memset(out, 0, page_size_);
-    }
-  }
+  DataStore(uint64_t num_pages, uint64_t page_size)
+      : page_size_(page_size), frames_(num_pages) {}
 
   // Returns the page's frame, allocating zero-filled on first touch (a
   // concurrent reader of a just-installed frame must see the page's prior
-  // contents — zeroes — never uninitialized heap). Null only when the store
-  // is disabled. Call under the device lock; the returned pointer stays
-  // valid afterwards.
+  // contents — zeroes — never uninitialized heap). Call under the device
+  // lock; the returned pointer stays valid afterwards.
   Frame WriteFrame(uint64_t lpn) {
-    if (!enabled_) {
-      return nullptr;
-    }
     if (!frames_[lpn]) {
       frames_[lpn] = Frame(new uint8_t[page_size_]());
     }
     return frames_[lpn];
   }
 
-  // Returns the page's current frame, or null when unmapped/disabled (read
-  // back as zeroes). Never allocates.
-  Frame ReadFrame(uint64_t lpn) const { return enabled_ ? frames_[lpn] : nullptr; }
+  // Returns the page's current frame, or null when unmapped (read back as
+  // zeroes). Never allocates.
+  Frame ReadFrame(uint64_t lpn) const { return frames_[lpn]; }
 
-  void Trim(uint64_t lpn) {
-    if (enabled_) {
-      frames_[lpn].reset();
-    }
-  }
-
-  uint64_t page_size() const { return page_size_; }
-  bool enabled() const { return enabled_; }
-
-  // Bytes currently resident (for memory-usage introspection in tests).
-  uint64_t ResidentBytes() const {
-    uint64_t n = 0;
-    for (const auto& f : frames_) {
-      if (f) {
-        n += page_size_;
-      }
-    }
-    return n;
-  }
+  void Trim(uint64_t lpn) { frames_[lpn].reset(); }
 
  private:
   uint64_t page_size_;
-  bool enabled_;
   std::vector<Frame> frames_;
 };
 

@@ -15,7 +15,6 @@ FtlConfig MakeFtlConfig(const SsdConfig& config) {
   ftl.endurance = config.endurance;
   ftl.fdp = config.fdp;
   ftl.op_fraction = config.op_fraction;
-  ftl.gc_free_ru_watermark = config.gc_free_ru_watermark;
   ftl.fdp_enabled = config.fdp_enabled;
   ftl.static_wear_leveling = config.static_wear_leveling;
   ftl.wear_delta_threshold = config.wear_delta_threshold;
@@ -44,7 +43,7 @@ SimulatedSsd::SimulatedSsd(const SsdConfig& config)
     : config_(config),
       ftl_(std::make_unique<Ftl>(MakeFtlConfig(config), this)),
       dies_(config.geometry.num_dies),
-      data_(ftl_->logical_pages(), config.geometry.page_size_bytes, config.store_data),
+      data_(ftl_->logical_pages(), config.geometry.page_size_bytes),
       gc_unit_(std::make_unique<GcUnit>(ftl_.get(), config.gc)) {}
 
 std::optional<uint32_t> SimulatedSsd::CreateNamespace(uint64_t size_bytes) {
@@ -103,7 +102,7 @@ NvmeCompletion SimulatedSsd::Write(uint32_t nsid, uint64_t slba, uint32_t nlb,
     }
     op_now_ = now;
     host_op_completion_ = now;
-    if (bytes != nullptr && data_.enabled()) {
+    if (bytes != nullptr) {
       frames.reserve(nlb);
     }
     for (uint32_t i = 0; i < nlb; ++i) {
@@ -113,7 +112,7 @@ NvmeCompletion SimulatedSsd::Write(uint32_t nsid, uint64_t slba, uint32_t nlb,
         completion.status = ToNvmeStatus(st);
         break;
       }
-      if (bytes != nullptr && data_.enabled()) {
+      if (bytes != nullptr) {
         frames.push_back(data_.WriteFrame(lpn));
       }
     }
@@ -244,10 +243,8 @@ SsdTelemetry SimulatedSsd::Telemetry(TimeNs elapsed) const {
   t.op_energy_uj = ftl_->media().op_energy_uj(config_.energy);
   t.total_energy_uj =
       t.op_energy_uj + config_.energy.idle_power_w * (static_cast<double>(elapsed) / 1e3);
-  t.die_busy_ns = dies_.TotalBusyNs();
   t.per_die_busy_ns = dies_.per_die_busy_ns();
   t.max_pe_cycles = ftl_->media().max_erase_count();
-  t.mean_pe_cycles = ftl_->media().mean_erase_count();
   t.dlwa = ftl_->stats().Dlwa();
   t.gc_unit = gc_unit_->stats();
   t.erase_suspensions = dies_.erase_suspensions();
@@ -266,7 +263,7 @@ void SimulatedSsd::OnPageRead(uint64_t ppn, bool is_gc) {
   const uint32_t die = ftl_->PpnDie(ppn);
   const TimeNs duration = config_.timing.read_page_ns;
   TimeNs done;
-  if (!is_gc && gc_unit_->mode() == GcMode::kFeedback && config_.gc.erase_suspend) {
+  if (!is_gc && gc_unit_->mode() == GcMode::kFeedback) {
     bool suspended = false;
     done = dies_.ScheduleSuspendableRead(die, op_now_, duration, &suspended);
   } else {
@@ -307,7 +304,7 @@ uint32_t SimulatedSsd::OnRuOpen(uint32_t /*superblock*/, bool /*gc_destination*/
   mu_.AssertHeld();  // See OnPageRead.
   // Feedback placement: phase each fresh RU's stripe onto the coldest die so
   // appends drain toward idle dies instead of piling behind busy ones.
-  if (gc_unit_->mode() == GcMode::kFeedback && config_.gc.cold_die_placement) {
+  if (gc_unit_->mode() == GcMode::kFeedback) {
     return dies_.ColdestDie();
   }
   return 0;

@@ -44,16 +44,12 @@ struct SsdConfig {
   NandGeometry geometry;
   FdpConfig fdp = FdpConfig::Pm9d3Like();
   double op_fraction = 0.07;
-  uint32_t gc_free_ru_watermark = 1;
   bool fdp_enabled = true;
   bool static_wear_leveling = false;
   uint32_t wear_delta_threshold = 40;
   NandTimingParams timing;
   NandEnergyParams energy;
   NandEnduranceParams endurance;
-  // When false, write payloads are discarded and reads return zeroes; useful
-  // for placement-only studies that do not validate data.
-  bool store_data = true;
   // Background GC engine (off by default — the FTL's lazy foreground GC then
   // remains the only collection path, bit-identical to earlier builds).
   GcConfig gc;
@@ -69,13 +65,10 @@ struct SsdTelemetry {
   uint64_t clean_ru_erases = 0;
   double op_energy_uj = 0.0;         // NAND operation energy.
   double total_energy_uj = 0.0;      // Including idle power over elapsed time.
-  TimeNs die_busy_ns = 0;
-  // Per-die accumulated busy time (sums to die_busy_ns); lets reports
-  // cross-check execution-lane utilization against the dies the lanes are
-  // meant to mirror.
+  // Per-die accumulated busy time; lets reports cross-check execution-lane
+  // utilization against the dies the lanes are meant to mirror.
   std::vector<TimeNs> per_die_busy_ns;
   uint32_t max_pe_cycles = 0;
-  double mean_pe_cycles = 0.0;
   double dlwa = 1.0;
   // Background GC engine state (zeroed when SsdConfig::gc.mode == kOff).
   GcUnitStats gc_unit;
@@ -106,7 +99,8 @@ class SimulatedSsd final : public FtlEventListener {
 
   // --- I/O path (all sizes in 4 KiB logical blocks) --------------------------
 
-  // `data` must hold nlb * page_size bytes (or be null when store_data=false).
+  // `data` must hold nlb * page_size bytes, or be null for a placement-only
+  // write (the pages are mapped but keep no payload).
   NvmeCompletion Write(uint32_t nsid, uint64_t slba, uint32_t nlb, const void* data,
                        DirectiveType dtype, uint16_t dspec, TimeNs now);
   NvmeCompletion Read(uint32_t nsid, uint64_t slba, uint32_t nlb, void* out, TimeNs now);

@@ -27,14 +27,6 @@ struct Op {
   uint32_t value_size = 0;   // Value payload bytes for this key.
 };
 
-// Infinite (or finite, for trace files) op streams.
-class OpStream {
- public:
-  virtual ~OpStream() = default;
-  // Returns the next op, or nullopt at end of stream.
-  virtual std::optional<Op> Next() = 0;
-};
-
 struct KvWorkloadConfig {
   uint64_t num_keys = 1'000'000;
   double zipf_alpha = 0.9;
@@ -86,11 +78,12 @@ struct KvWorkloadConfig {
 };
 
 // Deterministic generator over the config: same seed, same stream.
-class KvTraceGenerator final : public OpStream {
+class KvTraceGenerator {
  public:
   explicit KvTraceGenerator(const KvWorkloadConfig& config);
 
-  std::optional<Op> Next() override;
+  // The next op; the stream is infinite, so it is never nullopt.
+  std::optional<Op> Next();
 
   // Stable per-key properties.
   bool IsSmallKey(uint64_t key_id) const;

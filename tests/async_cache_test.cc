@@ -408,7 +408,6 @@ TEST(AsyncCacheTest, CallbackFiresExactlyOncePerOpAcrossMixedOutcomes) {
   backend_config.num_shards = 2;
   backend_config.ssd.geometry.num_superblocks = 32;
   backend_config.ssd.geometry.pages_per_block = 16;
-  backend_config.ssd.store_data = true;
   backend_config.cache.ram_bytes = 32 * 1024;
   ShardedSimBackend backend(backend_config);
   ShardedCache& cache = backend.cache();
@@ -444,7 +443,6 @@ TEST(AsyncCacheTest, AsyncLookupResultsMatchBlockingLookups) {
   backend_config.num_shards = 2;
   backend_config.ssd.geometry.num_superblocks = 32;
   backend_config.ssd.geometry.pages_per_block = 16;
-  backend_config.ssd.store_data = true;
   backend_config.cache.ram_bytes = 32 * 1024;
   ShardedSimBackend backend(backend_config);
   ShardedCache& cache = backend.cache();
@@ -477,7 +475,6 @@ TEST(AsyncCacheTest, MultiSubmitterStressWithDrainRacingCallbacks) {
   backend_config.num_shards = 4;
   backend_config.ssd.geometry.num_superblocks = 64;
   backend_config.ssd.geometry.pages_per_block = 16;
-  backend_config.ssd.store_data = true;
   backend_config.cache.ram_bytes = 48 * 1024;
   ShardedSimBackend backend(backend_config);
   ShardedCache& cache = backend.cache();
@@ -535,7 +532,6 @@ TEST(AsyncCacheTest, ConcurrentReplayDriverRunsAtCacheQueueDepth) {
   backend_config.num_shards = 4;
   backend_config.ssd.geometry.num_superblocks = 64;
   backend_config.ssd.geometry.pages_per_block = 16;
-  backend_config.ssd.store_data = true;
   backend_config.cache.ram_bytes = 48 * 1024;
   ShardedSimBackend backend(backend_config);
 

@@ -1,5 +1,5 @@
-// Cross-module integration tests: determinism, trace record/replay through
-// the stack, the file-backed cache path, and end-to-end FDP accounting.
+// Cross-module integration tests: determinism, the file-backed cache path,
+// and end-to-end FDP accounting.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +10,6 @@
 #include "src/navy/file_device.h"
 #include "src/navy/sim_ssd_device.h"
 #include "src/ssd/ssd.h"
-#include "src/workload/trace_io.h"
 #include "src/workload/workload.h"
 
 namespace fdpcache {
@@ -51,34 +50,6 @@ TEST(IntegrationTest, DifferentSeedsProduceDifferentRunsSameShape) {
   // Both seeds still satisfy the paper's FDP claim.
   EXPECT_LT(ra.final_dlwa, 1.3);
   EXPECT_LT(rb.final_dlwa, 1.3);
-}
-
-TEST(IntegrationTest, GeneratedTraceSurvivesFileRoundTrip) {
-  const std::string path = testing::TempDir() + "/integration_trace.csv";
-  KvWorkloadConfig workload = KvWorkloadConfig::MetaKvCache(3);
-  workload.num_keys = 5000;
-  {
-    KvTraceGenerator gen(workload);
-    TraceFileWriter writer(path);
-    ASSERT_TRUE(writer.ok());
-    for (int i = 0; i < 5000; ++i) {
-      ASSERT_TRUE(writer.Append(*gen.Next()));
-    }
-  }
-  // Replay through a reader and confirm identity with a fresh generator.
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok());
-  KvTraceGenerator gen(workload);
-  for (int i = 0; i < 5000; ++i) {
-    const auto from_file = reader.Next();
-    const auto from_gen = gen.Next();
-    ASSERT_TRUE(from_file.has_value());
-    EXPECT_EQ(from_file->key_id, from_gen->key_id);
-    EXPECT_EQ(from_file->type, from_gen->type);
-    EXPECT_EQ(from_file->value_size, from_gen->value_size);
-  }
-  EXPECT_FALSE(reader.Next().has_value());
-  std::remove(path.c_str());
 }
 
 TEST(IntegrationTest, HybridCacheOnFileDevice) {

@@ -25,13 +25,11 @@ class LocTest : public ::testing::Test {
   }
 
   LargeObjectCache MakeLoc(uint64_t size_bytes, uint64_t region_size = 128 * 1024,
-                           LocEvictionPolicy eviction = LocEvictionPolicy::kFifo,
                            bool trim = false) {
     LocConfig config;
     config.base_offset = 0;
     config.size_bytes = size_bytes;
     config.region_size = region_size;
-    config.eviction = eviction;
     config.trim_on_evict = trim;
     return LargeObjectCache(device_.get(), config);
   }
@@ -88,19 +86,6 @@ TEST_F(LocTest, FifoEvictionRecyclesOldestRegion) {
   EXPECT_TRUE(loc.Lookup("key7").has_value());
 }
 
-TEST_F(LocTest, LruEvictionKeepsHotRegion) {
-  auto loc = MakeLoc(4 * 128 * 1024, 128 * 1024, LocEvictionPolicy::kLru);
-  const std::string v(100000, 'b');
-  ASSERT_TRUE(loc.Insert("hot", v));
-  for (int i = 0; i < 6; ++i) {
-    // Keep touching "hot" while filling other regions.
-    loc.Lookup("hot");
-    ASSERT_TRUE(loc.Insert("cold" + std::to_string(i), v));
-    loc.Lookup("hot");
-  }
-  EXPECT_TRUE(loc.Lookup("hot").has_value());
-}
-
 TEST_F(LocTest, RemoveDropsIndexEntry) {
   auto loc = MakeLoc(8 * 128 * 1024);
   ASSERT_TRUE(loc.Insert("k", std::string(1000, 'c')));
@@ -133,7 +118,7 @@ TEST_F(LocTest, FlushSealsPartialRegion) {
 }
 
 TEST_F(LocTest, TrimOnEvictIssuesTrims) {
-  auto loc = MakeLoc(4 * 128 * 1024, 128 * 1024, LocEvictionPolicy::kFifo, /*trim=*/true);
+  auto loc = MakeLoc(4 * 128 * 1024, 128 * 1024, /*trim=*/true);
   const std::string v(100000, 'd');
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(loc.Insert("key" + std::to_string(i), v));

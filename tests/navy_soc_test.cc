@@ -26,11 +26,10 @@ class SocTest : public ::testing::Test {
     device_ = std::make_unique<SimSsdDevice>(ssd_.get(), nsid_, &clock_);
   }
 
-  SmallObjectCache MakeSoc(uint64_t size_bytes, bool bloom = true) {
+  SmallObjectCache MakeSoc(uint64_t size_bytes) {
     SocConfig config;
     config.base_offset = 0;
     config.size_bytes = size_bytes;
-    config.use_bloom_filters = bloom;
     config.placement = kNoPlacement;
     return SmallObjectCache(device_.get(), config);
   }
@@ -110,14 +109,6 @@ TEST_F(SocTest, BloomFilterRebuiltOnRewrite) {
   // (false positive) but must miss; "b" must still hit.
   EXPECT_FALSE(soc.Lookup("a").has_value());
   EXPECT_TRUE(soc.Lookup("b").has_value());
-}
-
-TEST_F(SocTest, WithoutBloomFiltersStillCorrect) {
-  auto soc = MakeSoc(16 * 4096, /*bloom=*/false);
-  ASSERT_TRUE(soc.Insert("k", "v"));
-  EXPECT_EQ(*soc.Lookup("k"), "v");
-  EXPECT_FALSE(soc.Lookup("absent").has_value());
-  EXPECT_EQ(soc.stats().bloom_rejects, 0u);
 }
 
 TEST_F(SocTest, UniformSpreadAcrossBuckets) {

@@ -1,6 +1,6 @@
 // Parameterised property sweeps across configuration space: every engine
 // must uphold its correctness oracle for any geometry, bucket count, region
-// size, eviction policy, or size threshold.
+// size, or size threshold.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -83,7 +83,6 @@ INSTANTIATE_TEST_SUITE_P(Geometries, FtlGeometrySweep,
 
 struct SocParams {
   uint64_t buckets;
-  bool bloom;
   uint32_t keys;
 };
 
@@ -96,7 +95,6 @@ TEST_P(SocSweep, OracleHoldsAcrossConfigurations) {
   SimSsdDevice device(ssd.get(), 1, &clock);
   SocConfig config;
   config.size_bytes = p.buckets * 4096;
-  config.use_bloom_filters = p.bloom;
   SmallObjectCache soc(&device, config);
   Rng rng(p.buckets * 31 + p.keys);
   std::unordered_map<std::string, std::string> oracle;
@@ -120,19 +118,17 @@ TEST_P(SocSweep, OracleHoldsAcrossConfigurations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, SocSweep,
-                         ::testing::Values(SocParams{1, true, 10},
-                                           SocParams{8, true, 50},
-                                           SocParams{64, true, 500},
-                                           SocParams{64, false, 500},
-                                           SocParams{512, true, 5000},
-                                           SocParams{512, false, 20000}));
+                         ::testing::Values(SocParams{1, 10},
+                                           SocParams{8, 50},
+                                           SocParams{64, 500},
+                                           SocParams{512, 5000},
+                                           SocParams{512, 20000}));
 
 // --- LOC configuration sweep ---------------------------------------------------
 
 struct LocParams {
   uint64_t region_kib;
   uint32_t regions;
-  LocEvictionPolicy eviction;
   uint32_t max_item;
 };
 
@@ -146,7 +142,6 @@ TEST_P(LocSweep, OracleHoldsAcrossConfigurations) {
   LocConfig config;
   config.region_size = p.region_kib * 1024;
   config.size_bytes = config.region_size * p.regions;
-  config.eviction = p.eviction;
   LargeObjectCache loc(&device, config);
   Rng rng(p.region_kib + p.regions);
   std::unordered_map<std::string, std::string> oracle;
@@ -161,7 +156,7 @@ TEST_P(LocSweep, OracleHoldsAcrossConfigurations) {
       // older value. Drop it from the oracle to stay conservative.
     }
     if (i % 97 == 0) {
-      loc.Lookup("key" + std::to_string(rng.NextBelow(80)));  // LRU touches.
+      loc.Lookup("key" + std::to_string(rng.NextBelow(80)));  // Interleaved reads.
     }
   }
   for (const auto& [key, expected] : oracle) {
@@ -174,12 +169,11 @@ TEST_P(LocSweep, OracleHoldsAcrossConfigurations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, LocSweep,
-                         ::testing::Values(LocParams{64, 8, LocEvictionPolicy::kFifo, 30000},
-                                           LocParams{64, 8, LocEvictionPolicy::kLru, 30000},
-                                           LocParams{128, 4, LocEvictionPolicy::kFifo, 60000},
-                                           LocParams{256, 16, LocEvictionPolicy::kLru, 100000},
-                                           LocParams{512, 3, LocEvictionPolicy::kFifo, 200000},
-                                           LocParams{128, 32, LocEvictionPolicy::kLru, 20000}));
+                         ::testing::Values(LocParams{64, 8, 30000},
+                                           LocParams{128, 4, 60000},
+                                           LocParams{256, 16, 100000},
+                                           LocParams{512, 3, 200000},
+                                           LocParams{128, 32, 20000}));
 
 // --- Hybrid threshold sweep ----------------------------------------------------
 

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 
-#include "src/workload/trace_io.h"
 #include "src/workload/workload.h"
 #include "src/workload/zipf.h"
 
@@ -161,50 +159,6 @@ TEST(ValuePayloadTest, DeterministicAndVersioned) {
 TEST(KeyStringTest, FixedWidthAndUnique) {
   EXPECT_EQ(KeyString(0).size(), KeyString(~0ull).size());
   EXPECT_NE(KeyString(1), KeyString(2));
-}
-
-TEST(TraceIoTest, WriteReadRoundTrip) {
-  const std::string path = testing::TempDir() + "/trace_roundtrip.csv";
-  {
-    TraceFileWriter writer(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer.Append(Op{OpType::kGet, 123, 456}));
-    ASSERT_TRUE(writer.Append(Op{OpType::kSet, 789, 1000}));
-    ASSERT_TRUE(writer.Append(Op{OpType::kDelete, 5, 0}));
-    EXPECT_EQ(writer.ops_written(), 3u);
-  }
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok());
-  auto op = reader.Next();
-  ASSERT_TRUE(op.has_value());
-  EXPECT_EQ(op->type, OpType::kGet);
-  EXPECT_EQ(op->key_id, 123u);
-  EXPECT_EQ(op->value_size, 456u);
-  op = reader.Next();
-  EXPECT_EQ(op->type, OpType::kSet);
-  op = reader.Next();
-  EXPECT_EQ(op->type, OpType::kDelete);
-  EXPECT_FALSE(reader.Next().has_value());
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoTest, SkipsCommentsAndBadLines) {
-  const std::string path = testing::TempDir() + "/trace_comments.csv";
-  FILE* f = fopen(path.c_str(), "w");
-  fputs("# a comment\nGET,1,10\nGARBAGE\nSET,2,20\n", f);
-  fclose(f);
-  TraceFileReader reader(path);
-  EXPECT_EQ(reader.Next()->key_id, 1u);
-  EXPECT_EQ(reader.Next()->key_id, 2u);
-  EXPECT_FALSE(reader.Next().has_value());
-  EXPECT_EQ(reader.parse_errors(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceIoTest, MissingFileFailsGracefully) {
-  TraceFileReader reader("/nonexistent/path/trace.csv");
-  EXPECT_FALSE(reader.ok());
-  EXPECT_FALSE(reader.Next().has_value());
 }
 
 }  // namespace

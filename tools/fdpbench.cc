@@ -16,6 +16,7 @@
 
 #include "src/harness/experiment.h"
 #include "src/harness/report.h"
+#include "src/navy/queued_device.h"
 #include "src/navy/uring_file_device.h"
 #include "tools/flags.h"
 
@@ -117,10 +118,10 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "unknown --backend=%s (sim|file|uring)\n", backend.c_str());
     return 2;
   }
-  // Count flags fill uint32_t fields: a value that does not fit is refused
-  // rather than wrapped.
-  const auto u32 = [&flags](const char* name, uint32_t def) {
-    return static_cast<uint32_t>(flags.GetUint(name, def, UINT32_MAX));
+  // Count flags fill uint32_t fields: a value above `max` is refused rather
+  // than wrapped or clamped.
+  const auto u32 = [&flags](const char* name, uint32_t def, uint32_t max = UINT32_MAX) {
+    return static_cast<uint32_t>(flags.GetUint(name, def, max));
   };
   config.device_path = flags.GetString("device-path", "");
   config.device_direct_io = flags.GetBool("direct-io", false);
@@ -135,8 +136,8 @@ int Run(int argc, char** argv) {
   config.num_superblocks = u32("superblocks", 256);
   config.total_ops = flags.GetUint("ops", 400'000);
   config.queue_depth = u32("qd", 1);
-  config.queue_pairs = u32("qps", 1);
-  config.exec_lanes = u32("lanes", 0);
+  config.queue_pairs = u32("qps", 1, kMaxQueuePairs);
+  config.exec_lanes = u32("lanes", 0, kMaxExecLanes);
   config.lane_stripe_bytes = flags.GetUint("stripe", 0);
   config.cache_queue_depth = u32("cache-qd", 1);
   config.seed = flags.GetUint("seed", 42);

@@ -1,11 +1,13 @@
 // Minimal --key=value flag parsing for the command-line tools.
 //
-// Getters are strict. GetUint wants decimal digits only, no larger than its
-// `max`; GetDouble a finite decimal >= 0; neither takes a sign, suffix or
-// space. GetBool wants true/false, 1/0 or yes/no. A malformed value makes
-// the getter return its default and is reported by Error(), which also names
-// any flag that no getter or Has() asked about. So read every flag, then
-// check Error() before acting on any of them.
+// Every argument must be a flag, and each flag may appear once. Getters are
+// strict. GetUint wants decimal digits only, no larger than its `max`;
+// GetDouble a finite decimal >= 0; neither takes a sign, suffix or space.
+// GetBool wants true/false, 1/0 or yes/no. A malformed value makes the
+// getter return its default and is reported by Error(), which also reports
+// a positional argument, a repeated flag, and any flag that no getter or
+// Has() asked about. So read every flag, then check Error() before acting on
+// any of them.
 #ifndef TOOLS_FLAGS_H_
 #define TOOLS_FLAGS_H_
 
@@ -16,7 +18,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace fdpcache {
 
@@ -26,15 +27,16 @@ class Flags {
     for (int i = 1; i < argc; ++i) {
       std::string_view arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
-        positional_.push_back(std::string(arg));
+        Note("unexpected argument '" + std::string(arg) + "' (flags take --name=value)");
         continue;
       }
       arg.remove_prefix(2);
       const size_t eq = arg.find('=');
-      if (eq == std::string_view::npos) {
-        values_[std::string(arg)] = "true";
-      } else {
-        values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
+      const std::string name(arg.substr(0, eq));
+      const std::string value =
+          eq == std::string_view::npos ? "true" : std::string(arg.substr(eq + 1));
+      if (!values_.emplace(name, value).second) {
+        Note("--" + name + " given more than once");
       }
     }
   }
@@ -98,17 +100,15 @@ class Flags {
     return false;
   }
   bool Has(const std::string& name) const { return Find(name) != nullptr; }
-  const std::vector<std::string>& positional() const { return positional_; }
 
   // Records a malformed value that the caller parsed itself.
   void Fail(const std::string& name, const std::string& value, const std::string& why) const {
-    if (error_.empty()) {
-      error_ = "--" + name + "=" + value + ": " + why;
-    }
+    Note("--" + name + "=" + value + ": " + why);
   }
 
-  // The first malformed value, else the first flag never asked about; empty
-  // when every flag was read and parsed.
+  // The first positional argument, repeated flag or malformed value, else
+  // the first flag never asked about; empty when every flag was read and
+  // parsed.
   std::string Error() const {
     if (!error_.empty()) {
       return error_;
@@ -122,6 +122,12 @@ class Flags {
   }
 
  private:
+  void Note(const std::string& error) const {
+    if (error_.empty()) {
+      error_ = error;
+    }
+  }
+
   const std::string* Find(const std::string& name) const {
     read_.insert(name);
     const auto it = values_.find(name);
@@ -129,7 +135,6 @@ class Flags {
   }
 
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
   // Bookkeeping of the const getters.
   mutable std::set<std::string> read_;
   mutable std::string error_;
