@@ -14,14 +14,17 @@
 //                  QD 1 every op pays the full submit -> reap -> wake round
 //                  trip serially; deeper queues hide it, which is the whole
 //                  point of the async backend.
-// Rows are MiB/s per (engine, op, QD), written to BENCH_file.json for the
-// perf trajectory. When the kernel lacks io_uring the "uring" rows record
-// the engine that actually served them (engine_live = "thread-pool") so the
-// CI gate can skip cleanly instead of asserting against the wrong engine.
+// Rows are MiB/s per (engine, op, QD). The "live" column names the engine
+// that actually served a row: without kernel io_uring the "uring" rows are
+// served by the thread-pool fallback, and the uring check skips instead of
+// asserting against the wrong engine.
 //
-// SHAPE CHECKS:
-//   1. no write/read failures anywhere in the sweep (any core count);
-//   2. (uring live, >= 2 cores) uring writes at QD 16 >= 1.5x QD 1 — the
+// SHAPE CHECKS (any FAIL exits 1):
+//   1. (any core count) no write/read failures anywhere in the sweep;
+//   2. (>= 2 cores) thread-pool writes at QD 16 >= 1.5x QD 1 — the fallback
+//      must spread sequential 4 KiB I/O across its workers, not pile it
+//      into one;
+//   3. (uring live, >= 2 cores) uring writes at QD 16 >= 1.5x QD 1 — the
 //      async engine must actually pipeline small I/O, not serialize it.
 #include <stdlib.h>
 #include <unistd.h>
@@ -154,33 +157,6 @@ Row RunCombo(const EngineSpec& spec, const std::string& path, bool writes, uint3
   return row;
 }
 
-void EmitJson(const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen("BENCH_file.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "micro_file_qd: cannot write BENCH_file.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"micro_file_qd\",\n");
-  std::fprintf(f, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"io_bytes\": %llu,\n", static_cast<unsigned long long>(kIoBytes));
-  std::fprintf(f, "  \"kernel_io_uring\": %s,\n",
-               UringFileDevice::KernelSupportsIoUring() ? "true" : "false");
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"engine_live\": \"%s\", \"op\": \"%s\", "
-                 "\"qd\": %u, \"mib_per_sec\": %.2f, \"elapsed_s\": %.4f, \"ops\": %llu, "
-                 "\"failures\": %llu}%s\n",
-                 r.engine.c_str(), r.engine_live.c_str(), r.op.c_str(), r.qd, r.mib_per_sec,
-                 r.elapsed_s, static_cast<unsigned long long>(r.ops),
-                 static_cast<unsigned long long>(r.failures),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 }  // namespace fdpcache
 
@@ -216,6 +192,8 @@ int main() {
 
   std::vector<Row> rows;
   TextTable table({"engine", "live", "op", "qd", "MiB/s", "elapsed", "ops", "failures"});
+  double pool_write_qd1 = 0.0;
+  double pool_write_qd16 = 0.0;
   double uring_write_qd1 = 0.0;
   double uring_write_qd16 = 0.0;
   bool uring_live = false;
@@ -228,6 +206,13 @@ int main() {
         const Row again = RunCombo(engine, path, writes, qd, num_ops);
         if (again.failures == 0 && again.mib_per_sec > r.mib_per_sec) {
           r = again;
+        }
+        if (engine.name == "thread-pool" && r.engine_live == "thread-pool" && writes) {
+          if (qd == 1) {
+            pool_write_qd1 = r.mib_per_sec;
+          } else if (qd == 16) {
+            pool_write_qd16 = r.mib_per_sec;
+          }
         }
         if (engine.name == "uring" && r.engine_live == "uring" && writes) {
           uring_live = true;
@@ -245,9 +230,6 @@ int main() {
     }
   }
   std::printf("%s\n", table.ToString().c_str());
-
-  EmitJson(rows);
-  std::printf("wrote BENCH_file.json\n");
   std::remove(path.c_str());
 
   bool failures_ok = true;
@@ -262,22 +244,24 @@ int main() {
   if (!failures_ok) {
     return 1;
   }
+  const auto qd_ratio = [](double qd16, double qd1) { return qd1 > 0.0 ? qd16 / qd1 : 0.0; };
+  if (hw_threads < 2) {
+    std::printf("SHAPE CHECK: SKIP (QD scaling needs >= 2 cores, have %u; measured "
+                "thread-pool QD16/QD1 %sx, uring QD16/QD1 %sx)\n\n",
+                hw_threads, FormatDouble(qd_ratio(pool_write_qd16, pool_write_qd1), 2).c_str(),
+                FormatDouble(qd_ratio(uring_write_qd16, uring_write_qd1), 2).c_str());
+    return 0;
+  }
+  const bool pool_ok = pool_write_qd16 >= 1.5 * pool_write_qd1;
+  PrintShapeCheck(pool_ok, "thread-pool writes at QD16 >= 1.5x QD1, got " +
+                               FormatDouble(qd_ratio(pool_write_qd16, pool_write_qd1), 2) + "x");
   if (!uring_live) {
     std::printf("SHAPE CHECK: SKIP (kernel io_uring unavailable; uring rows served by the "
                 "thread-pool fallback)\n\n");
-    return 0;
+    return pool_ok ? 0 : 1;
   }
-  if (hw_threads < 2) {
-    std::printf("SHAPE CHECK: SKIP (uring QD scaling needs >= 2 cores, have %u; measured "
-                "QD16/QD1 %sx)\n\n",
-                hw_threads,
-                FormatDouble(uring_write_qd1 > 0 ? uring_write_qd16 / uring_write_qd1 : 0.0, 2)
-                    .c_str());
-    return 0;
-  }
-  const double ratio = uring_write_qd1 > 0.0 ? uring_write_qd16 / uring_write_qd1 : 0.0;
   const bool qd_ok = uring_write_qd16 >= 1.5 * uring_write_qd1;
-  PrintShapeCheck(qd_ok,
-                  "uring writes at QD16 >= 1.5x QD1, got " + FormatDouble(ratio, 2) + "x");
-  return qd_ok ? 0 : 1;
+  PrintShapeCheck(qd_ok, "uring writes at QD16 >= 1.5x QD1, got " +
+                             FormatDouble(qd_ratio(uring_write_qd16, uring_write_qd1), 2) + "x");
+  return pool_ok && qd_ok ? 0 : 1;
 }

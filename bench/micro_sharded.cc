@@ -5,20 +5,25 @@
 // shards each own a private simulated SSD stack, sweeping worker threads
 // (1..16) against shard counts (1..16). Reports wall-clock ops/s, speedup
 // over the single-threaded run at the same shard count, merged latency
-// percentiles, and shard imbalance. SHAPE CHECK: at 8 shards, 8 threads must
-// beat 1 thread by >2x (only meaningful on a multi-core host; single-core
-// runs report the sweep but cannot demonstrate scaling).
+// percentiles, and shard imbalance.
 //
 // Phase 2 is the lock-free DRAM hit-path sweep: a 95/5 get/set mix whose hot
 // set fits in the RAM tier, swept across 1/2/4/8/16 threads at 8 shards.
 // Nearly every op is a RAM hit served by the seqlock read path without
 // touching the shard mutex, so this is the front-end scaling ceiling the
-// threads-x-shards phase can't see (its flash misses dominate). Emits
-// machine-readable BENCH_ram.json (per-row throughput plus the
-// optimistic-retry / lock-acquisition counters) for the release-CI
-// re-assert. SHAPE CHECK: 8 threads >= 3x 1 thread on >= 8 cores, SKIP
-// below. Set FDPBENCH_RAM_ONLY=1 to run only this phase (the TSan CI smoke:
-// readers racing writers on the lock-free path at reduced scale).
+// threads-x-shards phase can't see (its flash misses dominate). Set
+// FDPBENCH_RAM_ONLY=1 to run only this phase (the TSan CI smoke: readers
+// racing writers on the lock-free path at reduced scale).
+//
+// SHAPE CHECKS (any FAIL exits 1):
+//   1. (>= 4 hardware threads, phase 1) 8 threads x 8 shards > 2x 1 thread
+//      x 8 shards: a regression that serializes the shards fails;
+//   2. (any core count) every read-mostly row has >= 95% RAM hits per Get:
+//      the sweep measures the DRAM tier, not flash;
+//   3. (any core count) every read-mostly row takes the shard mutex at most
+//      0.10x ops times: only the 5% Set stream locks, lock-free Gets do not;
+//   4. (>= 8 hardware threads) read-mostly 8 threads >= 3x 1 thread.
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -95,10 +100,8 @@ struct RamRow {
   uint32_t threads = 0;
   double kops = 0.0;
   double speedup = 0.0;
-  double hit_ratio = 0.0;
   double ram_hit_fraction = 0.0;  // RAM hits / Gets: how DRAM-bound the row is.
   double p99_get_us = 0.0;
-  double elapsed_s = 0.0;
   uint64_t ops = 0;
   uint64_t optimistic_retries = 0;
   uint64_t shard_lock_acquisitions = 0;
@@ -153,47 +156,16 @@ RamRow RunReadMostly(uint32_t threads, uint64_t total_ops) {
   RamRow row;
   row.threads = threads;
   row.kops = report.throughput_ops_per_sec / 1e3;
-  row.hit_ratio = report.cache.HitRatio();
   row.ram_hit_fraction =
       report.cache.gets > 0
           ? static_cast<double>(report.cache.ram_hits) / report.cache.gets
           : 0.0;
   row.p99_get_us = report.get_latency_ns.Percentile(99.0) / 1e3;
-  row.elapsed_s = report.elapsed_seconds;
   row.ops = report.ops_executed;
   row.optimistic_retries = report.cache.ram_optimistic_retries;
   row.shard_lock_acquisitions = report.cache.shard_lock_acquisitions;
   row.ram_lock_acquisitions = report.cache.ram_lock_acquisitions;
   return row;
-}
-
-void EmitRamJson(const std::vector<RamRow>& rows) {
-  std::FILE* f = std::fopen("BENCH_ram.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "micro_sharded: cannot write BENCH_ram.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"micro_sharded_read_mostly\",\n");
-  std::fprintf(f, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"get_fraction\": 0.95,\n  \"shards\": 8,\n");
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RamRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"threads\": %u, \"kops\": %.1f, \"speedup\": %.3f, "
-                 "\"hit_ratio\": %.4f, \"ram_hit_fraction\": %.4f, "
-                 "\"p99_get_us\": %.2f, \"elapsed_s\": %.4f, \"ops\": %llu, "
-                 "\"optimistic_retries\": %llu, \"shard_lock_acquisitions\": %llu, "
-                 "\"ram_lock_acquisitions\": %llu}%s\n",
-                 r.threads, r.kops, r.speedup, r.hit_ratio, r.ram_hit_fraction,
-                 r.p99_get_us, r.elapsed_s, static_cast<unsigned long long>(r.ops),
-                 static_cast<unsigned long long>(r.optimistic_retries),
-                 static_cast<unsigned long long>(r.shard_lock_acquisitions),
-                 static_cast<unsigned long long>(r.ram_lock_acquisitions),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 }  // namespace
@@ -256,9 +228,11 @@ int main() {
   // --- Read-mostly DRAM hit-path sweep (lock-free Get) ---------------------
   std::printf("read-mostly sweep: 95/5 get/set, DRAM-resident hot set, 8 shards\n\n");
   const std::vector<uint32_t> ram_thread_counts = {1, 2, 4, 8, 16};
-  std::vector<RamRow> ram_rows;
   double ram_baseline = 0.0;
   double ram_speedup_8t = 0.0;
+  // The worst row of each per-row check.
+  double min_ram_hit_fraction = 1.0;
+  double max_shard_locks_per_op = 0.0;
   TextTable ram_table({"threads", "kops/s", "speedup", "ram-hit%", "p99 get",
                        "seq retries", "shard locks", "ram locks"});
   for (const uint32_t threads : ram_thread_counts) {
@@ -276,11 +250,22 @@ int main() {
                       std::to_string(row.optimistic_retries),
                       std::to_string(row.shard_lock_acquisitions),
                       std::to_string(row.ram_lock_acquisitions)});
-    ram_rows.push_back(row);
+    const double shard_locks_per_op =
+        static_cast<double>(row.shard_lock_acquisitions) / std::max<uint64_t>(row.ops, 1);
+    min_ram_hit_fraction = std::min(min_ram_hit_fraction, row.ram_hit_fraction);
+    max_shard_locks_per_op = std::max(max_shard_locks_per_op, shard_locks_per_op);
   }
   std::printf("%s\n", ram_table.ToString().c_str());
-  EmitRamJson(ram_rows);
-  std::printf("wrote BENCH_ram.json\n");
+
+  // These two hold at any core count, so the reduced-scale RAM-only smoke
+  // enforces them as well.
+  const bool ram_hits_ok = min_ram_hit_fraction >= 0.95;
+  PrintShapeCheck(ram_hits_ok, "every read-mostly row >= 95% RAM hits per Get, lowest " +
+                                   FormatPercent(min_ram_hit_fraction));
+  const bool lock_free_ok = max_shard_locks_per_op <= 0.10;
+  PrintShapeCheck(lock_free_ok, "every read-mostly row has shard locks <= 0.10x ops, highest " +
+                                    FormatDouble(max_shard_locks_per_op, 3) + "x");
+  ok = ok && ram_hits_ok && lock_free_ok;
 
   if (hw_threads >= 8) {
     const bool ram_ok = ram_speedup_8t >= 3.0;

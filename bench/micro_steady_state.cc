@@ -15,9 +15,8 @@
 //                   2 lanes): GC ticks race concurrent submitters — the
 //                   TSan smoke row, excluded from shape asserts.
 //
-// Emits BENCH_steady.json for the CI steady-state gate.
-//
-// SHAPE CHECKS (deterministic: qd=1 rows run in virtual time):
+// SHAPE CHECKS (any FAIL exits 1; deterministic at any core count: the qd=1
+// rows run in virtual time):
 //   1. fdp-gc DLWA < nonfdp-gc DLWA — placement isolation pays off in
 //      steady state (paper Fig. 5/10);
 //   2. gc-feedback p99 read < gc-naive p99 read — load-aware GC keeps
@@ -60,44 +59,6 @@ SteadyRow RunRow(const std::string& label, const ExperimentConfig& config) {
   ExperimentRunner runner(config);
   row.report = runner.Run();
   return row;
-}
-
-void EmitJson(const std::vector<SteadyRow>& rows) {
-  std::FILE* f = std::fopen("BENCH_steady.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "micro_steady_state: cannot write BENCH_steady.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"micro_steady_state\",\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const MetricsReport& r = rows[i].report;
-    std::fprintf(
-        f,
-        "    {\"label\": \"%s\", \"fdp\": %s, \"gc\": \"%s\", \"dlwa\": %.4f, "
-        "\"overwrite_passes_done\": %.3f, \"p99_read_ns\": %llu, \"p99_write_ns\": %llu, "
-        "\"gc_bg_migrated_pages\": %llu, \"gc_bg_erases\": %llu, "
-        "\"gc_bg_deferred_ticks\": %llu, \"erase_suspensions\": %llu, "
-        "\"host_stall_ns\": %llu, \"gc_die_ns\": %llu, \"per_ruh_dlwa\": [",
-        rows[i].label.c_str(), rows[i].fdp ? "true" : "false",
-        rows[i].gc_mode == GcMode::kFeedback ? "feedback"
-        : rows[i].gc_mode == GcMode::kNaive  ? "naive"
-                                             : "off",
-        r.final_dlwa, r.overwrite_passes_done,
-        static_cast<unsigned long long>(r.p99_read_ns),
-        static_cast<unsigned long long>(r.p99_write_ns),
-        static_cast<unsigned long long>(r.gc_bg_migrated_pages),
-        static_cast<unsigned long long>(r.gc_bg_erases),
-        static_cast<unsigned long long>(r.gc_bg_deferred_ticks),
-        static_cast<unsigned long long>(r.erase_suspensions),
-        static_cast<unsigned long long>(r.host_stall_ns),
-        static_cast<unsigned long long>(r.gc_die_ns));
-    for (size_t j = 0; j < r.per_ruh_dlwa.size(); ++j) {
-      std::fprintf(f, "%.4f%s", r.per_ruh_dlwa[j], j + 1 < r.per_ruh_dlwa.size() ? ", " : "");
-    }
-    std::fprintf(f, "]}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 }  // namespace
@@ -170,9 +131,6 @@ int main() {
     }
   }
   std::printf("\n");
-
-  EmitJson(rows);
-  std::printf("wrote BENCH_steady.json\n");
 
   const MetricsReport& fdp_gc = rows[0].report;
   const MetricsReport& nonfdp_gc = rows[1].report;

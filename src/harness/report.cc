@@ -1,10 +1,12 @@
 #include "src/harness/report.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "src/harness/concurrent_replay.h"
 
@@ -415,8 +417,17 @@ double BenchScale() {
   if (env == nullptr) {
     return 1.0;
   }
-  const double v = std::atof(env);
-  return std::clamp(v, 0.1, 10.0);
+  // Refuse rather than clamp: a NaN would turn every scaled op count into an
+  // undefined float-to-integer cast, and text would silently run some other
+  // scale.
+  const std::string_view text = env;
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size() || !(v >= 0.1 && v <= 10.0)) {
+    std::fprintf(stderr, "FDPBENCH_SCALE=%s: want a number in [0.1, 10]\n", env);
+    std::exit(2);
+  }
+  return v;
 }
 
 }  // namespace fdpcache

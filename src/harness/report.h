@@ -86,8 +86,9 @@ std::string FormatTraceBreakdown(const std::string& indent, const obs::TraceBrea
 // when the run was traced.
 std::string MetricsReportToJson(const MetricsReport& report);
 
-// Reads FDPBENCH_SCALE from the environment (0.1 .. 10, default 1.0):
-// benches multiply op counts by it so users can trade speed for fidelity.
+// Reads FDPBENCH_SCALE from the environment (a number in [0.1, 10], 1.0 when
+// unset): benches multiply op counts by it so users can trade speed for
+// fidelity. Any other value is printed to stderr and the process exits 2.
 double BenchScale();
 
 }  // namespace fdpcache

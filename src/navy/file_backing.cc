@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 namespace fdpcache {
@@ -20,16 +21,17 @@ std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-// RAII page-aligned scratch for O_DIRECT bounces of unaligned caller buffers.
-struct AlignedScratch {
-  void* ptr = nullptr;
-  explicit AlignedScratch(uint64_t align, uint64_t size) {
-    if (posix_memalign(&ptr, align, size) != 0) {
-      ptr = nullptr;
-    }
-  }
-  ~AlignedScratch() { std::free(ptr); }
+// Page-aligned scratch for O_DIRECT bounces of unaligned caller buffers.
+struct FreeDeleter {
+  void operator()(void* p) const { std::free(p); }
 };
+using AlignedScratch = std::unique_ptr<void, FreeDeleter>;
+
+// Null when the allocation fails.
+AlignedScratch AllocateAligned(uint64_t align, uint64_t size) {
+  void* p = nullptr;
+  return AlignedScratch(posix_memalign(&p, align, size) == 0 ? p : nullptr);
+}
 
 bool IsAligned(const void* p, uint64_t align) {
   return (reinterpret_cast<uintptr_t>(p) % align) == 0;
@@ -179,13 +181,14 @@ IoResult BackingWrite(FileBacking& backing, uint64_t offset, const void* data,
   }
   const uint64_t start = FileWallNowNs();
   const void* src = data;
-  AlignedScratch scratch(backing.page_size, size);
+  AlignedScratch scratch;
   if (backing.direct_io && !IsAligned(data, backing.page_size)) {
-    if (scratch.ptr == nullptr) {
+    scratch = AllocateAligned(backing.page_size, size);
+    if (scratch == nullptr) {
       return IoResult{};
     }
-    std::memcpy(scratch.ptr, data, size);
-    src = scratch.ptr;
+    std::memcpy(scratch.get(), data, size);
+    src = scratch.get();
   }
   const ssize_t n = ::pwrite(backing.fd, src, size, static_cast<off_t>(offset));
   if (n != static_cast<ssize_t>(size)) {
@@ -202,12 +205,13 @@ IoResult BackingRead(FileBacking& backing, uint64_t offset, void* out, uint64_t 
   }
   const uint64_t start = FileWallNowNs();
   void* dst = out;
-  AlignedScratch scratch(backing.page_size, size);
+  AlignedScratch scratch;
   if (backing.direct_io && !IsAligned(out, backing.page_size)) {
-    if (scratch.ptr == nullptr) {
+    scratch = AllocateAligned(backing.page_size, size);
+    if (scratch == nullptr) {
       return IoResult{};
     }
-    dst = scratch.ptr;
+    dst = scratch.get();
   }
   const ssize_t n = ::pread(backing.fd, dst, size, static_cast<off_t>(offset));
   if (n != static_cast<ssize_t>(size)) {

@@ -74,8 +74,8 @@ class DieScheduler {
 
   TimeNs busy_until(uint32_t die) const { return busy_until_[die]; }
 
-  // Accumulated active time of one die (the per-die view of TotalBusyNs),
-  // for lane-vs-die utilization cross-checks in telemetry.
+  // Accumulated active time of one die, for lane-vs-die utilization
+  // cross-checks in telemetry.
   TimeNs busy_ns(uint32_t die) const { return busy_ns_[die]; }
   const std::vector<TimeNs>& per_die_busy_ns() const { return busy_ns_; }
 
@@ -83,16 +83,6 @@ class DieScheduler {
 
   // The furthest-out completion across all dies; used for backpressure.
   TimeNs MaxBusyUntil() const { return *std::max_element(busy_until_.begin(), busy_until_.end()); }
-  TimeNs MinBusyUntil() const { return *std::min_element(busy_until_.begin(), busy_until_.end()); }
-
-  // Total die-active time, for utilization/energy accounting.
-  TimeNs TotalBusyNs() const {
-    TimeNs total = 0;
-    for (const TimeNs b : busy_ns_) {
-      total += b;
-    }
-    return total;
-  }
 
   void Reset() {
     std::fill(busy_until_.begin(), busy_until_.end(), 0);

@@ -1,17 +1,20 @@
 // File-backed device backends: async contract conformance on a tmpfs file
 // for all three engines (FileDevice's synchronous pipeline, UringFileDevice's
-// io_uring ring, UringFileDevice's thread-pool fallback), open-without-
-// truncate / validation semantics of the shared FileBacking layer, trim
-// punch-hole behaviour, a ShardedCache round-trip with self-validating
-// payloads on the file backend, uring-vs-fallback equivalence, and the
-// acceptance check that a parked async cache lookup completes via the
-// CompletionToken/hook path on a thread that is NOT the submitter. io_uring
-// specifics SKIP cleanly on kernels without it.
+// io_uring ring, UringFileDevice's thread-pool fallback) including O_DIRECT
+// round trips, open-without-truncate / validation semantics of the shared
+// FileBacking layer, trim punch-hole behaviour, a ShardedCache round-trip
+// with self-validating payloads on the file backend, uring-vs-fallback
+// equivalence, and the acceptance check that a parked async cache lookup
+// completes via the CompletionToken/hook path on a thread that is NOT the
+// submitter. io_uring specifics SKIP cleanly on kernels without it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,9 +44,15 @@ const char* BackendName(Backend backend) {
 }
 
 std::unique_ptr<Device> MakeBackend(Backend backend, const std::string& path,
-                                    uint64_t size_bytes, const IoQueueConfig& queue) {
+                                    uint64_t size_bytes, const IoQueueConfig& queue,
+                                    bool direct_io) {
+  FileBackingOptions backing;
+  backing.path = path;
+  backing.size_bytes = size_bytes;
+  backing.page_size = kPage;
+  backing.direct_io = direct_io;
   if (backend == Backend::kFileSync) {
-    auto device = std::make_unique<FileDevice>(path, size_bytes, kPage, queue);
+    auto device = std::make_unique<FileDevice>(backing, queue);
     if (!device->ok()) {
       ADD_FAILURE() << "FileDevice open failed: " << device->error();
       return nullptr;
@@ -51,9 +60,7 @@ std::unique_ptr<Device> MakeBackend(Backend backend, const std::string& path,
     return device;
   }
   UringFileDevice::Options options;
-  options.backing.path = path;
-  options.backing.size_bytes = size_bytes;
-  options.backing.page_size = kPage;
+  options.backing = backing;
   options.prefer_uring = backend == Backend::kUring;
   auto device = std::make_unique<UringFileDevice>(options, queue);
   if (!device->ok()) {
@@ -93,8 +100,8 @@ class FileBackendConformanceTest : public ::testing::TestWithParam<Backend> {
   void TearDown() override { std::remove(path_.c_str()); }
 
   std::unique_ptr<Device> Make(const IoQueueConfig& queue,
-                               uint64_t size_bytes = 8 * 1024 * 1024) {
-    return MakeBackend(GetParam(), path_, size_bytes, queue);
+                               uint64_t size_bytes = 8 * 1024 * 1024, bool direct_io = false) {
+    return MakeBackend(GetParam(), path_, size_bytes, queue, direct_io);
   }
 
   std::string path_;
@@ -276,6 +283,60 @@ TEST_P(FileBackendConformanceTest, TrimReadsBackZeroes) {
   std::vector<uint8_t> out(2 * kPage, 1);
   ASSERT_TRUE(device->Read(0, out.data(), 2 * kPage));
   EXPECT_EQ(out, std::vector<uint8_t>(2 * kPage, 0));
+}
+
+// Whether the open kept O_DIRECT: a filesystem that refuses it (tmpfs) gets a
+// buffered open instead.
+bool DirectIo(const Device& device) {
+  if (const auto* file = dynamic_cast<const FileDevice*>(&device)) {
+    return file->direct_io();
+  }
+  return static_cast<const UringFileDevice&>(device).direct_io();
+}
+
+uint8_t* PageAligned(uint8_t* p) {
+  const uintptr_t addr = reinterpret_cast<uintptr_t>(p);
+  return reinterpret_cast<uint8_t*>((addr + kPage - 1) / kPage * kPage);
+}
+
+// O_DIRECT wants page-aligned buffers at the syscall; the caller's need not
+// be. The blocking path bounces only unaligned buffers. The kernel ring always
+// bounces: through a registered buffer (READ_FIXED/WRITE_FIXED) up to 256 KiB,
+// through a one-off aligned buffer above that. Each request round-trips from
+// and into page-aligned and one-byte-offset buffers, through the queue and
+// through the blocking Read.
+TEST_P(FileBackendConformanceTest, DirectIoRoundTripsAlignedAndUnalignedBuffers) {
+  auto device = Make(IoQueueConfig{}, 8 * 1024 * 1024, /*direct_io=*/true);
+  ASSERT_NE(device, nullptr);
+  if (!DirectIo(*device)) {
+    GTEST_SKIP() << "the filesystem under " << path_ << " refused O_DIRECT";
+  }
+  uint64_t offset = 0;
+  for (const uint64_t size : {kPage, 64 * kPage, 128 * kPage}) {  // 4, 256, 512 KiB.
+    // A spare page on each side leaves room for both views.
+    std::vector<uint8_t> src_storage(size + 2 * kPage);
+    std::vector<uint8_t> dst_storage(size + 2 * kPage);
+    for (const int write_shift : {0, 1}) {
+      for (const int read_shift : {0, 1}) {
+        SCOPED_TRACE(testing::Message() << size << " bytes, write buffer +" << write_shift
+                                        << ", read buffer +" << read_shift);
+        uint8_t* src = PageAligned(src_storage.data()) + write_shift;
+        uint8_t* dst = PageAligned(dst_storage.data()) + read_shift;
+        for (uint64_t i = 0; i < size; ++i) {
+          src[i] = static_cast<uint8_t>(i * 31 + offset / kPage + 1);
+        }
+        const IoRequest write = IoRequest::MakeWrite(offset, src, size, kNoPlacement);
+        ASSERT_TRUE(device->Wait(device->Submit(write)).ok);
+        std::fill(dst, dst + size, 0);
+        ASSERT_TRUE(device->Wait(device->Submit(IoRequest::MakeRead(offset, dst, size))).ok);
+        EXPECT_EQ(std::memcmp(src, dst, size), 0) << "queued read";
+        std::fill(dst, dst + size, 0);
+        ASSERT_TRUE(device->Read(offset, dst, size));
+        EXPECT_EQ(std::memcmp(src, dst, size), 0) << "blocking read";
+        offset += size;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FileBackendConformanceTest,

@@ -465,6 +465,22 @@ TEST(ReportTest, Formatters) {
   EXPECT_EQ(FormatBytes(3u << 20), "3.0MiB");
 }
 
+TEST(ReportTest, BenchScaleReadsTheEnvironment) {
+  unsetenv("FDPBENCH_SCALE");
+  EXPECT_EQ(BenchScale(), 1.0);
+  setenv("FDPBENCH_SCALE", "0.25", 1);
+  EXPECT_EQ(BenchScale(), 0.25);
+  unsetenv("FDPBENCH_SCALE");
+}
+
+TEST(ReportDeathTest, BenchScaleRefusesMalformedValues) {
+  for (const char* value : {"nan", "abc", "20"}) {
+    setenv("FDPBENCH_SCALE", value, 1);
+    EXPECT_EXIT(BenchScale(), ::testing::ExitedWithCode(2), "FDPBENCH_SCALE") << value;
+  }
+  unsetenv("FDPBENCH_SCALE");
+}
+
 TEST(ReportTest, DlwaSeriesRendering) {
   const std::string out = FormatDlwaSeries("x", {1.0, 2.0});
   EXPECT_NE(out.find("dlwa=1.000"), std::string::npos);

@@ -32,11 +32,14 @@ TEST(DieSchedulerTest, BusyAccounting) {
   DieScheduler dies(2);
   dies.Schedule(0, 0, 100);
   dies.Schedule(1, 0, 250);
-  EXPECT_EQ(dies.TotalBusyNs(), 350u);
+  EXPECT_EQ(dies.busy_ns(0), 100u);
+  EXPECT_EQ(dies.busy_ns(1), 250u);
+  EXPECT_EQ(dies.busy_until(0), 100u);
   EXPECT_EQ(dies.MaxBusyUntil(), 250u);
-  EXPECT_EQ(dies.MinBusyUntil(), 100u);
   dies.Reset();
-  EXPECT_EQ(dies.TotalBusyNs(), 0u);
+  EXPECT_EQ(dies.busy_ns(0), 0u);
+  EXPECT_EQ(dies.busy_ns(1), 0u);
+  EXPECT_EQ(dies.MaxBusyUntil(), 0u);
 }
 
 SsdConfig LatencySsd() {

@@ -200,29 +200,37 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  // Provisioning failures (e.g. tenants that do not fit the device) throw;
-  // report them as a usage error rather than crashing.
+  // Provisioning failures (e.g. tenants that do not fit the device) and a
+  // live-metrics file that cannot be written throw; report them as a usage
+  // error rather than crashing.
   std::unique_ptr<ExperimentRunner> runner;
+  std::FILE* stats_file = nullptr;
   MetricsReport r;
   try {
     runner = std::make_unique<ExperimentRunner>(config);
+    // Open the JSON dump before the warm-up, so an unwritable path costs no
+    // run time, and after provisioning, so a deployment that does not fit
+    // leaves no empty file behind.
+    if (!stats_json.empty() && (stats_file = std::fopen(stats_json.c_str(), "w")) == nullptr) {
+      std::fprintf(stderr, "fdpbench: cannot open --stats-json=%s\n", stats_json.c_str());
+      return 2;
+    }
     r = runner->Run();
   } catch (const std::exception& e) {
+    if (stats_file != nullptr) {
+      std::fclose(stats_file);
+      std::remove(stats_json.c_str());
+    }
     std::fprintf(stderr, "fdpbench: %s\n", e.what());
     return 2;
   }
 
   // The JSON dump is written in both text and CSV modes; it touches only the
   // named file, so CSV stdout stays byte-identical to an un-flagged run.
-  if (!stats_json.empty()) {
-    FILE* f = std::fopen(stats_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "fdpbench: cannot open --stats-json=%s\n", stats_json.c_str());
-      return 2;
-    }
+  if (stats_file != nullptr) {
     const std::string json = MetricsReportToJson(r);
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    std::fwrite(json.data(), 1, json.size(), stats_file);
+    std::fclose(stats_file);
   }
 
   if (csv) {
