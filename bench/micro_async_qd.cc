@@ -54,6 +54,7 @@
 #include "src/common/clock.h"
 #include "src/harness/concurrent_replay.h"
 #include "src/navy/sim_ssd_device.h"
+#include "src/obs/trace.h"
 #include "src/ssd/ssd.h"
 #include "src/workload/workload.h"
 
@@ -71,12 +72,6 @@ SsdConfig SweepSsdConfig(uint32_t num_superblocks) {
   config.geometry.num_superblocks = num_superblocks;
   config.op_fraction = 0.20;  // Covers one open RU per submitter's RUH.
   return config;
-}
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
 }
 
 // Payload preparation: the host-side work a cache does to assemble a region
@@ -162,7 +157,7 @@ ComboResult RunShared(uint32_t submitters, uint32_t qps, uint32_t lanes, uint32_
   const uint64_t full_span = device.size_bytes() / kWriteBytes * kWriteBytes;
   std::vector<SubmitterStats> stats(submitters);
   std::vector<std::thread> threads;
-  const uint64_t start = NowNs();
+  const uint64_t start = obs::NowNs();
   for (uint32_t t = 0; t < submitters; ++t) {
     threads.emplace_back([&device, &stats, t, span, full_span, overlap, qps, qd, per_thread] {
       Submitter(&device, overlap ? 0 : t * span, overlap ? full_span : span,
@@ -173,7 +168,7 @@ ComboResult RunShared(uint32_t submitters, uint32_t qps, uint32_t lanes, uint32_
     thread.join();
   }
   device.Drain();
-  const double elapsed = static_cast<double>(NowNs() - start) * 1e-9;
+  const double elapsed = static_cast<double>(obs::NowNs() - start) * 1e-9;
 
   ComboResult result;
   result.topology = overlap ? "shared-overlap" : "shared";
@@ -214,7 +209,7 @@ ComboResult RunPerShard(uint32_t submitters, uint32_t qd, uint64_t total_writes)
   const uint64_t per_thread = total_writes / submitters;
   std::vector<SubmitterStats> stats(submitters);
   std::vector<std::thread> threads;
-  const uint64_t start = NowNs();
+  const uint64_t start = obs::NowNs();
   for (uint32_t t = 0; t < submitters; ++t) {
     threads.emplace_back([&stacks, &stats, t, qd, per_thread] {
       Device* device = stacks[t]->device.get();
@@ -228,7 +223,7 @@ ComboResult RunPerShard(uint32_t submitters, uint32_t qd, uint64_t total_writes)
   for (auto& stack : stacks) {
     stack->device->Drain();
   }
-  const double elapsed = static_cast<double>(NowNs() - start) * 1e-9;
+  const double elapsed = static_cast<double>(obs::NowNs() - start) * 1e-9;
 
   ComboResult result;
   result.topology = "per-shard";

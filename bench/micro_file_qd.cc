@@ -29,7 +29,6 @@
 #include <stdlib.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -39,18 +38,13 @@
 #include "bench/bench_util.h"
 #include "src/navy/file_device.h"
 #include "src/navy/uring_file_device.h"
+#include "src/obs/trace.h"
 
 namespace fdpcache {
 namespace {
 
 constexpr uint64_t kIoBytes = 4096;               // Page-sized: round-trip bound.
 constexpr uint64_t kFileBytes = 32 * 1024 * 1024;
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 void FillPayload(std::vector<uint8_t>* buffer, uint64_t seed) {
   uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
@@ -128,7 +122,7 @@ Row RunCombo(const EngineSpec& spec, const std::string& path, bool writes, uint3
   std::vector<std::vector<uint8_t>> slots(qd, std::vector<uint8_t>(kIoBytes));
   std::vector<CompletionToken> tokens(qd, kInvalidToken);
   const uint64_t chunks = kFileBytes / kIoBytes;
-  const uint64_t start = NowNs();
+  const uint64_t start = obs::NowNs();
   for (uint64_t i = 0; i < num_ops; ++i) {
     const uint32_t slot = static_cast<uint32_t>(i % qd);
     if (tokens[slot] != kInvalidToken && !device->Wait(tokens[slot]).ok) {
@@ -150,7 +144,7 @@ Row RunCombo(const EngineSpec& spec, const std::string& path, bool writes, uint3
     }
   }
   device->Drain();
-  const double elapsed = static_cast<double>(NowNs() - start) * 1e-9;
+  const double elapsed = static_cast<double>(obs::NowNs() - start) * 1e-9;
   row.elapsed_s = elapsed;
   row.mib_per_sec =
       elapsed > 0.0 ? static_cast<double>(row.ops * kIoBytes) / (1024.0 * 1024.0) / elapsed : 0.0;

@@ -138,11 +138,7 @@ void HybridCache::Remove(std::string_view key) {
 
 // --- Asynchronous path --------------------------------------------------------
 
-namespace {
-
-// Ends `span` after the user callback's op completes; identity when this
-// layer did not begin a trace (outer layer or none owns the request span).
-AsyncCallback WrapTraced(obs::RequestSpan span, obs::TraceOp op, AsyncCallback cb) {
+AsyncCallback EndSpanOnDelivery(obs::RequestSpan span, obs::TraceOp op, AsyncCallback cb) {
   if (!span) {
     return cb;
   }
@@ -154,41 +150,28 @@ AsyncCallback WrapTraced(obs::RequestSpan span, obs::TraceOp op, AsyncCallback c
   };
 }
 
-}  // namespace
-
 void HybridCache::LookupAsync(std::string_view key, AsyncCallback cb) {
-  obs::RequestSpan span = obs::BeginRequestSpanIfIdle();
-  obs::TraceScope tscope(span.id);
-  QueuedOp op;
-  op.kind = QueuedOp::Kind::kLookup;
-  op.key = std::string(key);
-  op.trace_id = obs::CurrentTraceId();
-  op.cb = WrapTraced(span, obs::TraceOp::kGet, std::move(cb));
-  EnqueueOp(std::move(op));
-  DrainRunnable();
+  SubmitAsync(QueuedOp::Kind::kLookup, obs::TraceOp::kGet, key, {}, std::move(cb));
 }
 
 void HybridCache::InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb) {
-  obs::RequestSpan span = obs::BeginRequestSpanIfIdle();
-  obs::TraceScope tscope(span.id);
-  QueuedOp op;
-  op.kind = QueuedOp::Kind::kInsert;
-  op.key = std::string(key);
-  op.value = std::string(value);
-  op.trace_id = obs::CurrentTraceId();
-  op.cb = WrapTraced(span, obs::TraceOp::kSet, std::move(cb));
-  EnqueueOp(std::move(op));
-  DrainRunnable();
+  SubmitAsync(QueuedOp::Kind::kInsert, obs::TraceOp::kSet, key, value, std::move(cb));
 }
 
 void HybridCache::RemoveAsync(std::string_view key, AsyncCallback cb) {
+  SubmitAsync(QueuedOp::Kind::kRemove, obs::TraceOp::kRemove, key, {}, std::move(cb));
+}
+
+void HybridCache::SubmitAsync(QueuedOp::Kind kind, obs::TraceOp trace_op, std::string_view key,
+                              std::string_view value, AsyncCallback cb) {
   obs::RequestSpan span = obs::BeginRequestSpanIfIdle();
   obs::TraceScope tscope(span.id);
   QueuedOp op;
-  op.kind = QueuedOp::Kind::kRemove;
+  op.kind = kind;
   op.key = std::string(key);
+  op.value = std::string(value);
   op.trace_id = obs::CurrentTraceId();
-  op.cb = WrapTraced(span, obs::TraceOp::kRemove, std::move(cb));
+  op.cb = EndSpanOnDelivery(span, trace_op, std::move(cb));
   EnqueueOp(std::move(op));
   DrainRunnable();
 }
@@ -210,6 +193,7 @@ void HybridCache::RunOp(QueuedOp op) {
   // returned; re-install their trace so downstream spans (flash park, device
   // submit) attach to the right request.
   obs::TraceScope tscope(op.trace_id);
+  AsyncScope scope(this);
   switch (op.kind) {
     case QueuedOp::Kind::kLookup:
       RunLookup(std::move(op));
@@ -220,34 +204,28 @@ void HybridCache::RunOp(QueuedOp op) {
     case QueuedOp::Kind::kRemove:
       RunRemove(std::move(op));
       return;
-    case QueuedOp::Kind::kSpill: {
-      AsyncScope scope(this);
-      std::string key = op.key;
-      const uint64_t trace_id = obs::CurrentTraceId();
-      const uint64_t park_start =
-          (trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-      navy_->InsertAsync(key, op.value, [this, key, trace_id, park_start](AsyncResult r) {
-        obs::TraceScope cb_scope(trace_id);
-        if (park_start != 0) {
-          obs::RecordSpan(trace_id, obs::TraceStage::kFlashPark, park_start,
-                          obs::NowNs(), static_cast<uint8_t>(obs::TraceOp::kSet));
-        }
-        AsyncScope inner(this);
-        // Same finish-time revalidation as the lookup path: if a blocking
-        // Set re-populated RAM while this spill was parked, the flash copy
-        // just written is already stale again — keep the marker.
-        if (r.ok() && !ram_.Contains(key)) {
-          nvm_stale_.erase(key);
-        }
-        FinishOp(key, nullptr, std::move(r));
-      });
+    case QueuedOp::Kind::kSpill:
+      RunFlashInsert(std::move(op));
       return;
-    }
   }
 }
 
+template <typename Then>
+AsyncCallback HybridCache::AfterFlash(obs::TraceOp op, Then then) {
+  const uint64_t trace_id = obs::CurrentTraceId();
+  const uint64_t park_start = (trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
+  return [this, op, trace_id, park_start, then = std::move(then)](AsyncResult r) mutable {
+    obs::TraceScope cb_scope(trace_id);
+    if (park_start != 0) {
+      obs::RecordSpan(trace_id, obs::TraceStage::kFlashPark, park_start, obs::NowNs(),
+                      static_cast<uint8_t>(op));
+    }
+    AsyncScope inner(this);
+    then(std::move(r));
+  };
+}
+
 void HybridCache::RunLookup(QueuedOp op) {
-  AsyncScope scope(this);
   stats_.gets.fetch_add(1, std::memory_order_relaxed);
   std::string ram_value;
   bool ram_hit;
@@ -270,17 +248,7 @@ void HybridCache::RunLookup(QueuedOp op) {
     FinishOp(op.key, std::move(op.cb), AsyncResult{});
     return;
   }
-  std::string key = op.key;
-  const uint64_t trace_id = obs::CurrentTraceId();
-  const uint64_t park_start = (trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-  navy_->LookupAsync(key, [this, key, trace_id, park_start,
-                           cb = std::move(op.cb)](AsyncResult r) mutable {
-    obs::TraceScope cb_scope(trace_id);
-    if (park_start != 0) {
-      obs::RecordSpan(trace_id, obs::TraceStage::kFlashPark, park_start, obs::NowNs(),
-                      static_cast<uint8_t>(obs::TraceOp::kGet));
-    }
-    AsyncScope inner(this);
+  auto done = [this, key = op.key, cb = std::move(op.cb)](AsyncResult r) mutable {
     if (r.hit()) {
       stats_.nvm_hits.fetch_add(1, std::memory_order_relaxed);
       // Finish-time revalidation: a blocking Set of this key may have
@@ -298,11 +266,11 @@ void HybridCache::RunLookup(QueuedOp op) {
       stats_.misses.fetch_add(1, std::memory_order_relaxed);
     }
     FinishOp(key, std::move(cb), std::move(r));
-  });
+  };
+  navy_->LookupAsync(op.key, AfterFlash(obs::TraceOp::kGet, std::move(done)));
 }
 
 void HybridCache::RunInsert(QueuedOp op) {
-  AsyncScope scope(this);
   stats_.sets.fetch_add(1, std::memory_order_relaxed);
   nvm_stale_.insert(op.key);
   if (ram_.Put(op.key, op.value)) {
@@ -311,45 +279,30 @@ void HybridCache::RunInsert(QueuedOp op) {
     FinishOp(op.key, std::move(op.cb), std::move(r));
     return;
   }
-  // Oversized for the DRAM budget: straight to flash, like the blocking path.
+  // Oversized for the DRAM budget: straight to flash, like the blocking path,
+  // dropping any older (smaller) RAM copy that would otherwise serve stale.
   ram_.Remove(op.key);
-  std::string key = op.key;
-  const uint64_t trace_id = obs::CurrentTraceId();
-  const uint64_t park_start = (trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-  navy_->InsertAsync(key, op.value, [this, key, trace_id, park_start,
-                                     cb = std::move(op.cb)](AsyncResult r) mutable {
-    obs::TraceScope cb_scope(trace_id);
-    if (park_start != 0) {
-      obs::RecordSpan(trace_id, obs::TraceStage::kFlashPark, park_start, obs::NowNs(),
-                      static_cast<uint8_t>(obs::TraceOp::kSet));
-    }
-    AsyncScope inner(this);
-    // Keep the staleness marker if a blocking Set re-populated RAM with a
-    // newer value while this flash insert was parked.
+  RunFlashInsert(std::move(op));
+}
+
+void HybridCache::RunFlashInsert(QueuedOp op) {
+  auto done = [this, key = op.key, cb = std::move(op.cb)](AsyncResult r) mutable {
+    // The flash copy is current again, unless a blocking Set re-populated RAM
+    // with a newer value while this write was parked: then keep the marker.
     if (r.ok() && !ram_.Contains(key)) {
       nvm_stale_.erase(key);
     }
     FinishOp(key, std::move(cb), std::move(r));
-  });
+  };
+  navy_->InsertAsync(op.key, op.value, AfterFlash(obs::TraceOp::kSet, std::move(done)));
 }
 
 void HybridCache::RunRemove(QueuedOp op) {
-  AsyncScope scope(this);
   // A RAM-resident item counts as removed even when flash holds no copy
   // (items that never spilled), so the DRAM tier's verdict folds into the
   // final status below.
   const bool ram_removed = ram_.Remove(op.key);
-  std::string key = op.key;
-  const uint64_t trace_id = obs::CurrentTraceId();
-  const uint64_t park_start = (trace_id != 0 && obs::TracingEnabled()) ? obs::NowNs() : 0;
-  navy_->RemoveAsync(key, [this, key, ram_removed, trace_id, park_start,
-                           cb = std::move(op.cb)](AsyncResult r) mutable {
-    obs::TraceScope cb_scope(trace_id);
-    if (park_start != 0) {
-      obs::RecordSpan(trace_id, obs::TraceStage::kFlashPark, park_start, obs::NowNs(),
-                      static_cast<uint8_t>(obs::TraceOp::kRemove));
-    }
-    AsyncScope inner(this);
+  auto done = [this, key = op.key, ram_removed, cb = std::move(op.cb)](AsyncResult r) mutable {
     // If a blocking Set re-created the key while the remove's flash RMW was
     // parked, its RAM copy is the freshest state and its flash copy is
     // stale — the marker the Set planted must survive this remove.
@@ -360,7 +313,8 @@ void HybridCache::RunRemove(QueuedOp op) {
       r.status = AsyncStatus::kOk;
     }
     FinishOp(key, std::move(cb), std::move(r));
-  });
+  };
+  navy_->RemoveAsync(op.key, AfterFlash(obs::TraceOp::kRemove, std::move(done)));
 }
 
 void HybridCache::FinishOp(const std::string& key, AsyncCallback cb, AsyncResult result) {

@@ -12,10 +12,12 @@
 //   the calling thread (the device's SyncIo fast path), so behaviour and
 //   performance match the pre-async cache exactly.
 //
-//   LookupAsync/InsertAsync/RemoveAsync — callback-based. The DRAM tier,
-//   staleness table, and flash-side RAM state are consulted immediately;
-//   operations that need a flash read park on a device CompletionToken and
-//   their callback fires from a later PumpAsync()/DrainAsync(). A per-key
+//   LookupAsync/InsertAsync/RemoveAsync — callback-based, admitted through
+//   one entry (SubmitAsync). The DRAM tier, staleness table, and flash-side
+//   RAM state are consulted immediately; operations that need a flash read
+//   park on a device CompletionToken and their callback fires from a later
+//   PumpAsync()/DrainAsync(), through one continuation (AfterFlash) that
+//   re-installs the request's trace and records its flash_park span. A per-key
 //   pending table serializes async operations on the same key in submission
 //   order (an InsertAsync followed by a LookupAsync of the same key always
 //   observes the insert), while operations on distinct keys overlap their
@@ -44,6 +46,7 @@
 
 #include "src/cache/ram_cache.h"
 #include "src/navy/navy_cache.h"
+#include "src/obs/trace.h"
 
 namespace fdpcache {
 
@@ -60,6 +63,16 @@ struct HybridCacheStats {
   uint64_t nvm_hits = 0;
   uint64_t misses = 0;
 
+  // Counter-wise sum, for totals over shards or tenants.
+  void Merge(const HybridCacheStats& other) {
+    gets += other.gets;
+    sets += other.sets;
+    ram_hits += other.ram_hits;
+    nvm_lookups += other.nvm_lookups;
+    nvm_hits += other.nvm_hits;
+    misses += other.misses;
+  }
+
   // Overall cache hit ratio (paper Table 2 "Hit Ratio").
   double HitRatio() const {
     return gets == 0 ? 0.0
@@ -72,6 +85,12 @@ struct HybridCacheStats {
                             : static_cast<double>(nvm_hits) / static_cast<double>(nvm_lookups);
   }
 };
+
+// Wraps `cb` so that it ends `span` when the callback is delivered. Returns
+// `cb` unchanged when `span` is empty: an outer layer, or nobody, owns the
+// request's trace. HybridCache and ShardedCache both begin async request
+// traces with it.
+AsyncCallback EndSpanOnDelivery(obs::RequestSpan span, obs::TraceOp op, AsyncCallback cb);
 
 class HybridCache {
  public:
@@ -183,13 +202,28 @@ class HybridCache {
   // buffer rather than a fresh temporary. Valid until the next call.
   const std::string& KeyString(std::string_view key);
 
+  // The one entry of LookupAsync/InsertAsync/RemoveAsync: begins the request
+  // trace unless an outer layer already did, then admits the op.
+  void SubmitAsync(QueuedOp::Kind kind, obs::TraceOp trace_op, std::string_view key,
+                   std::string_view value, AsyncCallback cb);
   // Admits an op into the pending-key table: runs it now if the key is
   // unclaimed, queues it behind the claim otherwise.
   void EnqueueOp(QueuedOp op);
+  // Runs an admitted op inside an AsyncScope, under its own trace.
   void RunOp(QueuedOp op);
   void RunLookup(QueuedOp op);
   void RunInsert(QueuedOp op);
   void RunRemove(QueuedOp op);
+  // Writes the op's payload straight to flash: an insert too large for the
+  // DRAM budget, or a DRAM eviction spilled inside an async op (null
+  // callback). Touches no RAM state before the write, so a spill never
+  // drops a value a blocking Set put back while the spill waited.
+  void RunFlashInsert(QueuedOp op);
+  // The one flash-completion continuation. Captures the current trace now;
+  // on completion it re-installs that trace, records the flash_park span
+  // (tagged `op`), and runs `then` inside an AsyncScope.
+  template <typename Then>
+  AsyncCallback AfterFlash(obs::TraceOp op, Then then);
   // Completes an op: releases its key claim (promoting the next same-key
   // waiter to runnable), settles the pending count, and fires the callback.
   void FinishOp(const std::string& key, AsyncCallback cb, AsyncResult result);

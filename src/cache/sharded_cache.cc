@@ -8,20 +8,6 @@
 namespace fdpcache {
 namespace {
 
-// Ends `span` when the user callback is delivered; identity when this layer
-// did not begin a trace.
-AsyncCallback EndSpanOnDelivery(obs::RequestSpan span, obs::TraceOp op, AsyncCallback cb) {
-  if (!span) {
-    return cb;
-  }
-  return [span, op, cb = std::move(cb)](AsyncResult r) {
-    obs::EndRequestSpan(span, op);
-    if (cb) {
-      cb(std::move(r));
-    }
-  };
-}
-
 // Mixed into the key hash before shard selection so that shard routing and
 // SOC bucket placement (both derived from HashString) stay independent.
 constexpr uint64_t kShardSeed = 0x5ca1ab1e0ddba11ull;
@@ -143,29 +129,46 @@ void ShardedCache::FireTaken(Shard& shard, FiredList* fired) {
   shard.fire_cv.NotifyAll();
 }
 
-AsyncCallback ShardedCache::StageInto(Shard& shard, AsyncCallback cb) {
+AsyncCallback ShardedCache::StageInto(Shard& shard, obs::RequestSpan span, obs::TraceOp op,
+                                      AsyncCallback cb) {
   // Runs under the shard lock (HybridCache resolves ops under the caller's
   // lock); defer the user callback to whoever flushes shard.fired next.
-  return [&shard, cb = std::move(cb)](AsyncResult result) mutable {
+  return [&shard, cb = EndSpanOnDelivery(span, op, std::move(cb))](AsyncResult result) mutable {
     AppendFired(shard, std::move(cb), std::move(result));
   };
+}
+
+template <typename Call>
+bool ShardedCache::RunLocked(Shard& shard, Call&& call, bool wake_poller, const char* site) {
+  FiredList fired;
+  bool pending = false;
+  {
+    LockShard(shard, site);
+    fdp::MutexLock lock(&shard.mu, fdp::kAdoptLock);
+    call(*shard.cache);
+    pending = shard.cache->pending_async_ops() > 0;
+    TakeFired(shard, &fired);
+  }
+  if (pending && wake_poller) {
+    NotifyPoller();
+  }
+  FireTaken(shard, &fired);
+  return pending;
+}
+
+bool ShardedCache::ProbeRam(Shard& shard, std::string_view key, std::string* value) {
+  obs::ScopedSpan probe(obs::TraceStage::kRamProbe, static_cast<uint8_t>(obs::TraceOp::kGet));
+  return shard.cache->TryRamGet(key, value);
 }
 
 void ShardedCache::Set(std::string_view key, std::string_view value) {
   Shard& shard = ShardFor(key);
   obs::ScopedRequest trace(obs::TraceOp::kSet);
-  FiredList fired;
-  {
-    LockShard(shard);
-    fdp::MutexLock lock(&shard.mu, fdp::kAdoptLock);
-    // Any DRAM eviction this triggers spills to flash from inside the call,
-    // still under this shard's lock — safe, because the spill path only
-    // touches this shard's own tiers (RamCache::Put fires its eviction
-    // callbacks after releasing its own locks; see HybridCache::OnRamEviction).
-    shard.cache->Set(key, value);
-    TakeFired(shard, &fired);
-  }
-  FireTaken(shard, &fired);
+  // Any DRAM eviction this triggers spills to flash from inside the call,
+  // still under this shard's lock — safe, because the spill path only
+  // touches this shard's own tiers (RamCache::Put fires its eviction
+  // callbacks after releasing its own locks; see HybridCache::OnRamEviction).
+  RunLocked(shard, [&](HybridCache& cache) { cache.Set(key, value); });
 }
 
 bool ShardedCache::Get(std::string_view key, std::string* value) {
@@ -175,37 +178,21 @@ bool ShardedCache::Get(std::string_view key, std::string* value) {
   // RAM hit needs none of the under-lock state. On a miss we fall through
   // to the FULL locked Get — including its RAM re-check — because deciding
   // flash promotion on stale RAM state could clobber a newer concurrent Set.
-  {
-    obs::ScopedSpan probe(obs::TraceStage::kRamProbe,
-                          static_cast<uint8_t>(obs::TraceOp::kGet));
-    if (shard.cache->TryRamGet(key, value)) {
-      return true;
-    }
+  if (ProbeRam(shard, key, value)) {
+    return true;
   }
-  FiredList fired;
-  bool hit;
-  {
-    LockShard(shard);
-    fdp::MutexLock lock(&shard.mu, fdp::kAdoptLock);
-    hit = shard.cache->Get(key, value);
-    TakeFired(shard, &fired);
-  }
-  FireTaken(shard, &fired);
+  bool hit = false;
+  RunLocked(shard, [&](HybridCache& cache) { hit = cache.Get(key, value); });
   return hit;
 }
 
 void ShardedCache::Remove(std::string_view key) {
   Shard& shard = ShardFor(key);
   obs::ScopedRequest trace(obs::TraceOp::kRemove);
-  FiredList fired;
-  {
-    LockShard(shard);
-    fdp::MutexLock lock(&shard.mu, fdp::kAdoptLock);
-    shard.cache->Remove(key);
+  RunLocked(shard, [&](HybridCache& cache) {
+    cache.Remove(key);
     shard.removes.fetch_add(1, std::memory_order_relaxed);
-    TakeFired(shard, &fired);
-  }
-  FireTaken(shard, &fired);
+  });
 }
 
 void ShardedCache::LookupAsync(std::string_view key, AsyncCallback cb) {
@@ -216,39 +203,20 @@ void ShardedCache::LookupAsync(std::string_view key, AsyncCallback cb) {
   // callback fires before the call returns, with no shard lock held.
   // TryRamGet's pending-op gate keeps same-key FIFO intact — if ANY async
   // op is pending on this shard the probe declines and we queue normally.
-  {
-    std::string ram_value;
-    bool ram_hit;
-    {
-      obs::ScopedSpan probe(obs::TraceStage::kRamProbe,
-                            static_cast<uint8_t>(obs::TraceOp::kGet));
-      ram_hit = shard.cache->TryRamGet(key, &ram_value);
+  std::string ram_value;
+  if (ProbeRam(shard, key, &ram_value)) {
+    obs::EndRequestSpan(span, obs::TraceOp::kGet);
+    if (cb) {
+      AsyncResult result;
+      result.status = AsyncStatus::kHit;
+      result.value = std::move(ram_value);
+      cb(std::move(result));
     }
-    if (ram_hit) {
-      obs::EndRequestSpan(span, obs::TraceOp::kGet);
-      if (cb) {
-        AsyncResult result;
-        result.status = AsyncStatus::kHit;
-        result.value = std::move(ram_value);
-        cb(std::move(result));
-      }
-      return;
-    }
+    return;
   }
-  FiredList fired;
-  bool parked;
-  {
-    LockShard(shard);
-    fdp::MutexLock lock(&shard.mu, fdp::kAdoptLock);
-    shard.cache->LookupAsync(
-        key, StageInto(shard, EndSpanOnDelivery(span, obs::TraceOp::kGet, std::move(cb))));
-    parked = shard.cache->pending_async_ops() > 0;
-    TakeFired(shard, &fired);
-  }
-  if (parked) {
-    NotifyPoller();
-  }
-  FireTaken(shard, &fired);
+  RunLocked(shard, [&](HybridCache& cache) {
+    cache.LookupAsync(key, StageInto(shard, span, obs::TraceOp::kGet, std::move(cb)));
+  });
 }
 
 void ShardedCache::InsertAsync(std::string_view key, std::string_view value,
@@ -256,42 +224,19 @@ void ShardedCache::InsertAsync(std::string_view key, std::string_view value,
   Shard& shard = ShardFor(key);
   obs::RequestSpan span = obs::BeginRequestSpanIfIdle();
   obs::TraceScope tscope(span.id);
-  FiredList fired;
-  bool parked;
-  {
-    LockShard(shard);
-    fdp::MutexLock lock(&shard.mu, fdp::kAdoptLock);
-    shard.cache->InsertAsync(
-        key, value,
-        StageInto(shard, EndSpanOnDelivery(span, obs::TraceOp::kSet, std::move(cb))));
-    parked = shard.cache->pending_async_ops() > 0;
-    TakeFired(shard, &fired);
-  }
-  if (parked) {
-    NotifyPoller();
-  }
-  FireTaken(shard, &fired);
+  RunLocked(shard, [&](HybridCache& cache) {
+    cache.InsertAsync(key, value, StageInto(shard, span, obs::TraceOp::kSet, std::move(cb)));
+  });
 }
 
 void ShardedCache::RemoveAsync(std::string_view key, AsyncCallback cb) {
   Shard& shard = ShardFor(key);
   obs::RequestSpan span = obs::BeginRequestSpanIfIdle();
   obs::TraceScope tscope(span.id);
-  FiredList fired;
-  bool parked;
-  {
-    LockShard(shard);
-    fdp::MutexLock lock(&shard.mu, fdp::kAdoptLock);
-    shard.cache->RemoveAsync(
-        key, StageInto(shard, EndSpanOnDelivery(span, obs::TraceOp::kRemove, std::move(cb))));
+  RunLocked(shard, [&](HybridCache& cache) {
+    cache.RemoveAsync(key, StageInto(shard, span, obs::TraceOp::kRemove, std::move(cb)));
     shard.removes.fetch_add(1, std::memory_order_relaxed);
-    parked = shard.cache->pending_async_ops() > 0;
-    TakeFired(shard, &fired);
-  }
-  if (parked) {
-    NotifyPoller();
-  }
-  FireTaken(shard, &fired);
+  });
 }
 
 bool ShardedCache::DrainShard(Shard& shard, bool flush_navy) {
@@ -368,15 +313,10 @@ bool ShardedCache::PumpShards() {
     if (shard->cache->pending_async_ops() == 0) {
       continue;
     }
-    FiredList fired;
-    {
-      LockShard(*shard);
-      fdp::MutexLock lock(&shard->mu, fdp::kAdoptLock);
-      shard->cache->PumpAsync();
-      any_pending = any_pending || shard->cache->pending_async_ops() > 0;
-      TakeFired(*shard, &fired);
+    const auto pump = [](HybridCache& cache) { cache.PumpAsync(); };
+    if (RunLocked(*shard, pump, /*wake_poller=*/false)) {
+      any_pending = true;
     }
-    FireTaken(*shard, &fired);
   }
   return any_pending;
 }
@@ -420,13 +360,8 @@ ShardedCacheStats ShardedCache::Stats() const {
     const HybridCacheStats s = shard->cache->stats();
     const RamCacheStats ram = shard->cache->ram().stats();
     const uint64_t removes = shard->removes.load(std::memory_order_relaxed);
-    out.gets += s.gets;
-    out.sets += s.sets;
+    out.Merge(s);
     out.removes += removes;
-    out.ram_hits += s.ram_hits;
-    out.nvm_lookups += s.nvm_lookups;
-    out.nvm_hits += s.nvm_hits;
-    out.misses += s.misses;
     out.shard_lock_acquisitions +=
         shard->lock_acquisitions.load(std::memory_order_relaxed);
     out.ram_optimistic_retries += ram.optimistic_retries;
@@ -434,20 +369,15 @@ ShardedCacheStats ShardedCache::Stats() const {
     out.shard_ops.push_back(s.gets + s.sets + removes);
     out.pending_ops.push_back(shard->cache->pending_async_ops());
   }
-  for (Device* device : devices_) {
-    out.device_queue_pairs = MergeQueuePairStats(std::move(out.device_queue_pairs),
-                                                 device->PerQueuePairStats());
-    out.device_lanes = MergeLaneStats(std::move(out.device_lanes), device->PerLaneStats());
-  }
   return out;
 }
 
 void ShardedCache::ResetStats() {
   for (auto& shard : shards_) {
-    LockShard(*shard);
-    fdp::MutexLock lock(&shard->mu, fdp::kAdoptLock);
-    shard->cache->ResetStats();
-    shard->removes.store(0, std::memory_order_relaxed);
+    RunLocked(*shard, [&](HybridCache& cache) {
+      cache.ResetStats();
+      shard->removes.store(0, std::memory_order_relaxed);
+    });
   }
 }
 

@@ -10,6 +10,10 @@
 // statistics live in relaxed atomics (inside HybridCache/RamCache), so both
 // the lock-free hit path and aggregate Stats() snapshots touch no lock.
 //
+// Every locked shard call (the six entry points, ResetStats and the poller's
+// sweep) runs through one private helper, RunLocked, which delivers the
+// callbacks the call resolved only once the shard lock is released.
+//
 // Two call styles:
 //
 //   Blocking Set/Get/Remove — writers hold the shard lock for the whole
@@ -49,16 +53,13 @@
 
 namespace fdpcache {
 
-// Aggregated snapshot across all shards, plus per-shard op counts for
-// imbalance analysis. Field meanings match HybridCacheStats.
-struct ShardedCacheStats {
-  uint64_t gets = 0;
-  uint64_t sets = 0;
+// Aggregated snapshot across all shards: the shards' HybridCacheStats summed,
+// plus the counters only the sharded front end keeps and per-shard op counts
+// for imbalance analysis. Device stats are not copied here; read them from
+// the device (Device::stats(), PerQueuePairStats(), PerLaneStats()).
+struct ShardedCacheStats : HybridCacheStats {
+  // Remove/RemoveAsync calls (HybridCacheStats has no remove counter).
   uint64_t removes = 0;
-  uint64_t ram_hits = 0;
-  uint64_t nvm_lookups = 0;
-  uint64_t nvm_hits = 0;
-  uint64_t misses = 0;
 
   // Total operations (Get + Set + Remove) routed to each shard.
   std::vector<uint64_t> shard_ops;
@@ -68,17 +69,6 @@ struct ShardedCacheStats {
   // or a pending eviction spill). A gauge, not a counter — it reads back as
   // 0 on a quiescent cache.
   std::vector<uint64_t> pending_ops;
-
-  // Per-queue-pair device stats (queue-depth histograms, per-QP latencies,
-  // arbitration dispatch counts), merged across every device attached with
-  // AttachDevice(). Cumulative since device construction/reset — not a
-  // counter delta. Empty when no device is attached.
-  std::vector<QueuePairStats> device_queue_pairs;
-
-  // Per-execution-lane device stats (dispatches, conflict waits, busy time,
-  // lane-queue depth), merged the same way. Empty when no attached device
-  // runs execution lanes (IoQueueConfig::exec_lanes == 0).
-  std::vector<LaneStats> device_lanes;
 
   // --- Lock-free DRAM hit-path instrumentation ---------------------------
   // Shard-mutex acquisitions across all shards (every locked entry point;
@@ -92,14 +82,6 @@ struct ShardedCacheStats {
   // index, limbo). Also flat across a reader-only phase.
   uint64_t ram_lock_acquisitions = 0;
 
-  double HitRatio() const {
-    return gets == 0 ? 0.0
-                     : static_cast<double>(ram_hits + nvm_hits) / static_cast<double>(gets);
-  }
-  double NvmHitRatio() const {
-    return nvm_lookups == 0 ? 0.0
-                            : static_cast<double>(nvm_hits) / static_cast<double>(nvm_lookups);
-  }
   uint64_t TotalPendingOps() const {
     uint64_t total = 0;
     for (const uint64_t p : pending_ops) {
@@ -144,11 +126,11 @@ class ShardedCache {
   // Thread-safe asynchronous API. A LookupAsync that hits DRAM (and finds
   // no pending same-key work) completes lock-free; otherwise each call
   // locks exactly one shard for the DRAM-side work only, and flash reads
-  // ride the device queues with the lock released. The callback fires exactly once — inline (before the call
-  // returns, lock already released) when no flash read was needed, otherwise
-  // from the completion poller — and always with no shard lock held, so it
-  // may call back into this cache. Same-key async operations complete in
-  // submission order.
+  // ride the device queues with the lock released. The callback fires
+  // exactly once — inline (before the call returns, lock already released)
+  // when no flash read was needed, otherwise from the completion poller —
+  // and always with no shard lock held, so it may call back into this
+  // cache. Same-key async operations complete in submission order.
   void LookupAsync(std::string_view key, AsyncCallback cb);
   void InsertAsync(std::string_view key, std::string_view value, AsyncCallback cb);
   void RemoveAsync(std::string_view key, AsyncCallback cb);
@@ -161,11 +143,10 @@ class ShardedCache {
   // own delivery); the same holds for Flush() and the destructor.
   void Drain();
 
-  // Registers a device whose per-queue-pair stats should ride along in
-  // Stats(), whose completion hook should wake the async poller, and which
-  // Flush() drains as its final barrier. The device is not owned and must
-  // outlive the cache. Typically called once per backing device by the
-  // backend that wires shards to devices.
+  // Registers a device whose completion hook should wake the async poller,
+  // and which Flush() drains as its final barrier. The device is not owned
+  // and must outlive the cache. Typically called once per backing device by
+  // the backend that wires shards to devices. Its stats stay on the device.
   void AttachDevice(Device* device);
 
   // Completion barrier + write-pipeline flush: drains async cache ops, then
@@ -177,14 +158,11 @@ class ShardedCache {
   // before inspecting the device beneath a live cache (or shutting down).
   bool Flush();
 
-  // Aggregate snapshot. The cache counters are read lock-free straight from
-  // the shards' relaxed atomics (no shard mutex is ever taken), so a
-  // snapshot racing operations may pair counters from adjacent operations
-  // (e.g. transiently see a hit counted before its get) — approximate by
-  // design, which is fine for monitoring. Quiescent reads are exact.
-  // Filling device_queue_pairs does briefly take each attached device's
-  // per-queue-pair stat mutexes (never a shard lock), so Stats() may
-  // contend with submitters for those.
+  // Aggregate snapshot, read lock-free straight from the shards' relaxed
+  // atomics (no lock of any kind is taken), so a snapshot racing operations
+  // may pair counters from adjacent operations (e.g. transiently see a hit
+  // counted before its get) — approximate by design, which is fine for
+  // monitoring. Quiescent reads are exact.
   ShardedCacheStats Stats() const;
 
   // Locks each shard in turn and zeroes both the shard stats and the mirrors.
@@ -238,6 +216,21 @@ class ShardedCache {
   static void LockShard(Shard& shard, const char* site = __builtin_FUNCTION())
       ACQUIRE(shard.mu);
 
+  // The one locked shard call: runs `call(*shard.cache)` under the shard
+  // lock, takes the callbacks it resolved, unlocks, wakes the poller when
+  // async ops remain pending and `wake_poller` is set (before delivery,
+  // which runs user code), then delivers the callbacks with no lock held.
+  // The poller's own sweep passes false: waking itself would spin. `site`
+  // names the public entry point in lock-rank diagnostics. Returns whether
+  // async ops remain pending on the shard.
+  template <typename Call>
+  bool RunLocked(Shard& shard, Call&& call, bool wake_poller = true,
+                 const char* site = __builtin_FUNCTION());
+
+  // The lock-free DRAM probe Get and LookupAsync try first
+  // (HybridCache::TryRamGet), traced as a ram_probe span.
+  static bool ProbeRam(Shard& shard, std::string_view key, std::string* value);
+
   // Appends one resolved callback to shard.fired. Called from the StageInto
   // lambda, which HybridCache invokes with the shard lock held — the
   // analysis cannot see through the std::function boundary, so the guard is
@@ -245,11 +238,13 @@ class ShardedCache {
   static void AppendFired(Shard& shard, AsyncCallback cb, AsyncResult result)
       NO_THREAD_SAFETY_ANALYSIS;
 
-  // Wraps a user callback so it stages into shard.fired instead of running
-  // under the shard lock.
-  AsyncCallback StageInto(Shard& shard, AsyncCallback cb);
+  // Wraps a user callback so it ends `span` (see EndSpanOnDelivery) when
+  // delivered, and stages into shard.fired instead of running under the
+  // shard lock.
+  static AsyncCallback StageInto(Shard& shard, obs::RequestSpan span, obs::TraceOp op,
+                                 AsyncCallback cb);
   // Moves staged callbacks out and marks the shard as delivering a batch
-  // (caller holds the shard lock) ...
+  // (caller holds the shard lock; only RunLocked and DrainShard call it) ...
   static void TakeFired(Shard& shard, FiredList* out) REQUIRES(shard.mu);
   // ... and fires them outside the lock, then re-acquires it briefly to
   // mark the batch delivered (wakes barrier waiters). No-op when empty.

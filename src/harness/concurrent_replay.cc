@@ -1,19 +1,13 @@
 #include "src/harness/concurrent_replay.h"
 
-#include <chrono>
 #include <thread>
 
 #include "src/common/hash.h"
 #include "src/common/thread_annotations.h"
+#include "src/obs/trace.h"
 
 namespace fdpcache {
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 // Counter-wise `after - before`, so a report covers exactly one run's traffic
 // even when the cache has served earlier runs (or a warm-up) already.
@@ -36,12 +30,7 @@ ShardedCacheStats DiffStats(const ShardedCacheStats& after, const ShardedCacheSt
   for (size_t s = 0; s < after.shard_ops.size(); ++s) {
     d.shard_ops[s] = after.shard_ops[s] - (s < before.shard_ops.size() ? before.shard_ops[s] : 0);
   }
-  // Per-QP and per-lane device stats carry the cumulative view (histograms
-  // cannot be diffed); they describe the device since construction/reset,
-  // not just this run — documented on ShardedCacheStats. pending_ops is a
-  // gauge, so the end-of-run snapshot is the meaningful value.
-  d.device_queue_pairs = after.device_queue_pairs;
-  d.device_lanes = after.device_lanes;
+  // pending_ops is a gauge, so the end-of-run snapshot is the meaningful value.
   d.pending_ops = after.pending_ops;
   return d;
 }
@@ -76,18 +65,18 @@ void ConcurrentReplayDriver::WorkerBody(uint32_t thread_index, uint64_t num_ops,
     const std::string key = KeyString(op->key_id);
     switch (op->type) {
       case OpType::kGet: {
-        const uint64_t start = NowNs();
+        const uint64_t start = obs::NowNs();
         cache_->Get(key, &value);
-        result->get_latency_ns.Record(NowNs() - start);
+        result->get_latency_ns.Record(obs::NowNs() - start);
         break;
       }
       case OpType::kSet: {
         // Version 0 payload: all writers of a key produce identical bytes, so
         // concurrent readers can verify hits without extra coordination.
         const std::string payload = ValuePayload(op->key_id, 0, op->value_size);
-        const uint64_t start = NowNs();
+        const uint64_t start = obs::NowNs();
         cache_->Set(key, payload);
-        result->set_latency_ns.Record(NowNs() - start);
+        result->set_latency_ns.Record(obs::NowNs() - start);
         break;
       }
       case OpType::kDelete:
@@ -122,7 +111,7 @@ void ConcurrentReplayDriver::AsyncWorkerBody(KvTraceGenerator& generator, uint64
     ++window.outstanding;
   };
   const auto release_slot = [&window](Histogram* latency, uint64_t start) {
-    const uint64_t end = NowNs();
+    const uint64_t end = obs::NowNs();
     fdp::MutexLock lock(&window.mu);
     if (latency != nullptr) {
       latency->Record(end - start);
@@ -140,7 +129,7 @@ void ConcurrentReplayDriver::AsyncWorkerBody(KvTraceGenerator& generator, uint64
     switch (op->type) {
       case OpType::kGet: {
         acquire_slot();
-        const uint64_t start = NowNs();
+        const uint64_t start = obs::NowNs();
         cache_->LookupAsync(key, [&release_slot, result, start](AsyncResult) {
           release_slot(&result->get_latency_ns, start);
         });
@@ -149,7 +138,7 @@ void ConcurrentReplayDriver::AsyncWorkerBody(KvTraceGenerator& generator, uint64
       case OpType::kSet: {
         const std::string payload = ValuePayload(op->key_id, 0, op->value_size);
         acquire_slot();
-        const uint64_t start = NowNs();
+        const uint64_t start = obs::NowNs();
         cache_->InsertAsync(key, payload, [&release_slot, result, start](AsyncResult) {
           release_slot(&result->set_latency_ns, start);
         });
@@ -182,7 +171,7 @@ ConcurrentReplayReport ConcurrentReplayDriver::Run() {
   std::vector<std::thread> workers;
   workers.reserve(num_threads);
 
-  const uint64_t wall_start = NowNs();
+  const uint64_t wall_start = obs::NowNs();
   for (uint32_t t = 0; t < num_threads; ++t) {
     const uint64_t ops = per_thread + (t == 0 ? config_.total_ops % num_threads : 0);
     workers.emplace_back([this, t, ops, &results] { WorkerBody(t, ops, &results[t]); });
@@ -196,7 +185,7 @@ ConcurrentReplayReport ConcurrentReplayDriver::Run() {
     // cover them (mirrors the sync path, where spills complete inline).
     cache_->Drain();
   }
-  const uint64_t wall_end = NowNs();
+  const uint64_t wall_end = obs::NowNs();
 
   ConcurrentReplayReport report;
   report.elapsed_seconds = static_cast<double>(wall_end - wall_start) * 1e-9;

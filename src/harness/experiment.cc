@@ -1,12 +1,13 @@
 #include "src/harness/experiment.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/common/epoch_reclaim.h"
-#include "src/navy/file_backing.h"
 
 namespace fdpcache {
 
@@ -131,9 +132,22 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(con
     publisher_ = std::make_unique<obs::MetricsPublisher>(
         config_.metrics_path.empty() ? "fdpbench_metrics.prom" : config_.metrics_path);
   }
+  // Opened now rather than probed: the path may name a device node, which
+  // must be neither created nor unlinked.
+  if (config_.trace_enabled && !config_.trace_path.empty()) {
+    trace_file_ = std::fopen(config_.trace_path.c_str(), "w");
+    if (trace_file_ == nullptr) {
+      throw std::runtime_error("trace output " + config_.trace_path + ": cannot open: " +
+                               std::strerror(errno));
+    }
+  }
 }
 
-ExperimentRunner::~ExperimentRunner() = default;
+ExperimentRunner::~ExperimentRunner() {
+  if (trace_file_ != nullptr) {
+    std::fclose(trace_file_);
+  }
+}
 
 uint64_t ExperimentRunner::HostBytesWritten() const {
   if (const SimulatedSsd* ssd = stack_->ssd()) {
@@ -290,7 +304,7 @@ MetricsReport ExperimentRunner::Run() {
   Device& device = stack_->device();
   // Virtual time on the simulator; wall time against real hardware, where the
   // virtual clock only ticks the modeled host CPU cost.
-  const auto now = [&] { return ssd != nullptr ? stack_->clock().now() : FileWallNowNs(); };
+  const auto now = [&] { return ssd != nullptr ? stack_->clock().now() : obs::NowNs(); };
 
   // --- Warm-up: fill the flash cache, then reset statistics -----------------
   const uint64_t warmup_bytes = static_cast<uint64_t>(
@@ -426,8 +440,14 @@ MetricsReport ExperimentRunner::Run() {
     tc.Disable();
     std::vector<obs::TraceEvent> events = tc.Collect();
     obs::SynthesizeCompletionDelivery(&events);
-    if (!config_.trace_path.empty()) {
-      obs::WriteChromeTrace(events, config_.trace_path);
+    if (trace_file_ != nullptr) {
+      const bool written = obs::WriteChromeTrace(events, trace_file_);
+      const bool closed = std::fclose(trace_file_) == 0;
+      trace_file_ = nullptr;
+      if (!written || !closed) {
+        throw std::runtime_error("trace output " + config_.trace_path + ": cannot write: " +
+                                 std::strerror(errno));
+      }
     }
     report.trace = obs::BuildTraceBreakdown(events);
     report.trace.dropped = tc.DroppedEvents();
@@ -450,31 +470,22 @@ MetricsReport ExperimentRunner::Run() {
       elapsed == 0 ? 0.0
                    : static_cast<double>(executed) / (static_cast<double>(elapsed) / 1e9) / 1e3;
 
-  uint64_t gets = 0;
-  uint64_t sets = 0;
-  double hit_num = 0;
-  double nvm_hit_num = 0;
-  double nvm_lookups = 0;
+  HybridCacheStats cache_stats;
   double item_bytes = 0;
   double dev_bytes = 0;
   double soc_dev_bytes = 0;
   for (auto& tenant : tenants_) {
-    const auto& cache_stats = tenant->cache->stats();
-    gets += cache_stats.gets;
-    sets += cache_stats.sets;
-    hit_num += static_cast<double>(cache_stats.ram_hits + cache_stats.nvm_hits);
-    nvm_hit_num += static_cast<double>(cache_stats.nvm_hits);
-    nvm_lookups += static_cast<double>(cache_stats.nvm_lookups);
+    cache_stats.Merge(tenant->cache->stats());
     const NavyStats navy = tenant->cache->navy().stats();
     item_bytes += static_cast<double>(navy.soc.item_bytes_written + navy.loc.item_bytes_written);
     dev_bytes += static_cast<double>(navy.soc.bytes_written + navy.loc.bytes_written);
     soc_dev_bytes += static_cast<double>(navy.soc.bytes_written);
     report.verify_failures += tenant->verify_failures;
   }
-  report.gets = gets;
-  report.sets = sets;
-  report.hit_ratio = gets == 0 ? 0.0 : hit_num / static_cast<double>(gets);
-  report.nvm_hit_ratio = nvm_lookups == 0 ? 0.0 : nvm_hit_num / nvm_lookups;
+  report.gets = cache_stats.gets;
+  report.sets = cache_stats.sets;
+  report.hit_ratio = cache_stats.HitRatio();
+  report.nvm_hit_ratio = cache_stats.NvmHitRatio();
   report.alwa = item_bytes == 0 ? 1.0 : dev_bytes / item_bytes;
   report.soc_write_share = dev_bytes == 0 ? 0.0 : soc_dev_bytes / dev_bytes;
   const DeviceStats device_stats = device.stats();
@@ -523,34 +534,23 @@ MetricsReport ExperimentRunner::Run() {
 
 std::vector<obs::MetricSample> ExperimentRunner::MetricsSnapshot() const {
   using obs::MetricSample;
-  uint64_t gets = 0;
-  uint64_t sets = 0;
-  uint64_t ram_hits = 0;
-  uint64_t nvm_hits = 0;
-  uint64_t nvm_lookups = 0;
-  uint64_t misses = 0;
+  HybridCacheStats cache;
   uint64_t pending_ops = 0;
   uint64_t limbo = 0;
   for (const auto& tenant : tenants_) {
-    const HybridCacheStats s = tenant->cache->stats();
-    gets += s.gets;
-    sets += s.sets;
-    ram_hits += s.ram_hits;
-    nvm_hits += s.nvm_hits;
-    nvm_lookups += s.nvm_lookups;
-    misses += s.misses;
+    cache.Merge(tenant->cache->stats());
     pending_ops += tenant->cache->pending_async_ops();
     limbo += tenant->cache->ram().deferred_nodes();
   }
   const Device& device = stack_->device();
   const DeviceStats dev = device.stats();
   std::vector<MetricSample> samples = {
-      MetricSample::Counter("fdpcache_cache_gets", gets),
-      MetricSample::Counter("fdpcache_cache_sets", sets),
-      MetricSample::Counter("fdpcache_cache_ram_hits", ram_hits),
-      MetricSample::Counter("fdpcache_cache_nvm_hits", nvm_hits),
-      MetricSample::Counter("fdpcache_cache_nvm_lookups", nvm_lookups),
-      MetricSample::Counter("fdpcache_cache_misses", misses),
+      MetricSample::Counter("fdpcache_cache_gets", cache.gets),
+      MetricSample::Counter("fdpcache_cache_sets", cache.sets),
+      MetricSample::Counter("fdpcache_cache_ram_hits", cache.ram_hits),
+      MetricSample::Counter("fdpcache_cache_nvm_hits", cache.nvm_hits),
+      MetricSample::Counter("fdpcache_cache_nvm_lookups", cache.nvm_lookups),
+      MetricSample::Counter("fdpcache_cache_misses", cache.misses),
       MetricSample::Gauge("fdpcache_cache_pending_ops", static_cast<double>(pending_ops)),
       // Epoch-reclaim limbo depth: nodes awaiting a safe epoch plus readers
       // currently pinning one (the lock-free DRAM hit path's deferred frees).

@@ -11,6 +11,7 @@
 #define SRC_HARNESS_EXPERIMENT_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -241,11 +242,13 @@ class ExperimentRunner {
   // Throws std::runtime_error when the deployment cannot be provisioned: no
   // tenants, a utilization outside (0, 1], or tenant partitions that do not
   // fit the device (e.g. fdpbench --tenants=2 --superblocks=64), on every
-  // backend; or when metrics_path cannot be published to.
+  // backend; or when metrics_path cannot be published to, or trace_path
+  // cannot be opened for writing.
   explicit ExperimentRunner(const ExperimentConfig& config);
   ~ExperimentRunner();
 
   // Runs warm-up then the measured phase; returns the collected metrics.
+  // Throws std::runtime_error when the trace JSON cannot be written.
   MetricsReport Run();
 
   // Sim backend only; never call on kFile/kUring.
@@ -291,6 +294,9 @@ class ExperimentRunner {
   // Set when metrics_interval_ms > 0; built by the constructor, so a bad
   // metrics_path fails before any run time is spent.
   std::unique_ptr<obs::MetricsPublisher> publisher_;
+  // trace_path, opened by the constructor for the same reason; Run() writes
+  // and closes it.
+  std::FILE* trace_file_ = nullptr;
   uint64_t cache_bytes_per_tenant_ = 0;
   uint64_t ram_bytes_ = 0;
   // Usable capacity the experiment is sized against: the simulated SSD's

@@ -170,19 +170,6 @@ struct QueuePairStats : DeviceStats {
   }
 };
 
-// Element-wise merge of two per-QP stat vectors (used to aggregate multiple
-// devices' views into one report); the result has max(a.size, b.size) QPs.
-inline std::vector<QueuePairStats> MergeQueuePairStats(std::vector<QueuePairStats> a,
-                                                       const std::vector<QueuePairStats>& b) {
-  if (a.size() < b.size()) {
-    a.resize(b.size());
-  }
-  for (size_t i = 0; i < b.size(); ++i) {
-    a[i].Merge(b[i]);
-  }
-  return a;
-}
-
 // Per-execution-lane stats snapshot (see ExecLaneEngine in
 // src/navy/exec_lanes.h). Every request the arbiter pops goes through
 // exactly one lane, so summing `dispatches` across lanes reproduces the sum
@@ -197,31 +184,12 @@ struct LaneStats {
   uint64_t conflict_waits = 0;
   // Device-model execution time this lane accumulated (the sum of its
   // requests' IoResult::latency_ns) — cross-checkable against
-  // SsdTelemetry's per-die busy time.
+  // SsdTelemetry's per-die busy time when the driver advances the virtual
+  // clock (fdpbench does; a concurrent replay leaves it at 0).
   uint64_t busy_ns = 0;
   // Lane-queue occupancy sampled at every dispatch (after the push).
   Histogram queue_depth;
-
-  void Merge(const LaneStats& other) {
-    dispatches += other.dispatches;
-    conflict_waits += other.conflict_waits;
-    busy_ns += other.busy_ns;
-    queue_depth.Merge(other.queue_depth);
-  }
 };
-
-// Element-wise merge of two per-lane stat vectors, mirroring
-// MergeQueuePairStats.
-inline std::vector<LaneStats> MergeLaneStats(std::vector<LaneStats> a,
-                                             const std::vector<LaneStats>& b) {
-  if (a.size() < b.size()) {
-    a.resize(b.size());
-  }
-  for (size_t i = 0; i < b.size(); ++i) {
-    a[i].Merge(b[i]);
-  }
-  return a;
-}
 
 class Device {
  public:

@@ -7,11 +7,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
+
+#include "src/obs/trace.h"
 
 namespace fdpcache {
 
@@ -38,12 +39,6 @@ bool IsAligned(const void* p, uint64_t align) {
 }
 
 }  // namespace
-
-uint64_t FileWallNowNs() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 FileBacking::~FileBacking() {
   if (fd >= 0) {
@@ -179,7 +174,7 @@ IoResult BackingWrite(FileBacking& backing, uint64_t offset, const void* data,
       offset + size > backing.size_bytes) {
     return IoResult{};
   }
-  const uint64_t start = FileWallNowNs();
+  const uint64_t start = obs::NowNs();
   const void* src = data;
   AlignedScratch scratch;
   if (backing.direct_io && !IsAligned(data, backing.page_size)) {
@@ -194,7 +189,7 @@ IoResult BackingWrite(FileBacking& backing, uint64_t offset, const void* data,
   if (n != static_cast<ssize_t>(size)) {
     return IoResult{};
   }
-  return IoResult{true, FileWallNowNs() - start};
+  return IoResult{true, obs::NowNs() - start};
 }
 
 IoResult BackingRead(FileBacking& backing, uint64_t offset, void* out, uint64_t size) {
@@ -203,7 +198,7 @@ IoResult BackingRead(FileBacking& backing, uint64_t offset, void* out, uint64_t 
       offset + size > backing.size_bytes) {
     return IoResult{};
   }
-  const uint64_t start = FileWallNowNs();
+  const uint64_t start = obs::NowNs();
   void* dst = out;
   AlignedScratch scratch;
   if (backing.direct_io && !IsAligned(out, backing.page_size)) {
@@ -220,25 +215,25 @@ IoResult BackingRead(FileBacking& backing, uint64_t offset, void* out, uint64_t 
   if (dst != out) {
     std::memcpy(out, dst, size);
   }
-  return IoResult{true, FileWallNowNs() - start};
+  return IoResult{true, obs::NowNs() - start};
 }
 
 IoResult BackingTrim(FileBacking& backing, uint64_t offset, uint64_t size) {
   if (backing.fd < 0 || size == 0 || offset + size > backing.size_bytes) {
     return IoResult{};
   }
-  const uint64_t start = FileWallNowNs();
+  const uint64_t start = obs::NowNs();
   if (backing.is_block_device) {
     // Deallocate on a raw block device would need BLKDISCARD, which is
     // destructive to neighbours if the range math is ever wrong; a cache can
     // always treat trim as advisory. No-op, reported honestly as such by the
     // caller's stats (trims counted, zero bytes moved).
-    return IoResult{true, FileWallNowNs() - start};
+    return IoResult{true, obs::NowNs() - start};
   }
   if (backing.punch_hole_ok &&
       ::fallocate(backing.fd, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
                   static_cast<off_t>(offset), static_cast<off_t>(size)) == 0) {
-    return IoResult{true, FileWallNowNs() - start};
+    return IoResult{true, obs::NowNs() - start};
   }
   if (backing.punch_hole_ok && (errno == EOPNOTSUPP || errno == ENOSYS)) {
     backing.punch_hole_ok = false;  // Don't retry the syscall every trim.
@@ -255,7 +250,7 @@ IoResult BackingTrim(FileBacking& backing, uint64_t offset, uint64_t size) {
       return IoResult{};
     }
   }
-  return IoResult{true, FileWallNowNs() - start};
+  return IoResult{true, obs::NowNs() - start};
 }
 
 }  // namespace fdpcache

@@ -72,9 +72,6 @@ IoResult BackingRead(FileBacking& backing, uint64_t offset, void* out, uint64_t 
 // so trimmed ranges always read back as zeroes on file backings.
 IoResult BackingTrim(FileBacking& backing, uint64_t offset, uint64_t size);
 
-// Monotonic wall-clock in nanoseconds (completion latencies for real IO).
-uint64_t FileWallNowNs();
-
 }  // namespace fdpcache
 
 #endif  // SRC_NAVY_FILE_BACKING_H_

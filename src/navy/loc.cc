@@ -257,17 +257,7 @@ void LargeObjectCache::EvictRegion(uint32_t region) {
   // not still be outstanding (a late-landing write would clobber the reused
   // region and a failed one would drop the wrong keys).
   RetireRegion(region);
-  RegionInfo& info = regions_[region];
-  for (const std::string& key : info.keys) {
-    const auto it = index_.find(key);
-    if (it != index_.end() && it->second.region == region) {
-      index_.erase(it);
-      ++stats_.items_evicted;
-    }
-  }
-  info.keys.clear();
-  info.sealed = false;
-  info.seal_seq = 0;
+  DropRegionContents(region);
   if (config_.trim_on_evict) {
     device_->Trim(RegionBase(region), config_.region_size, config_.queue_pair);
   }

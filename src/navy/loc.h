@@ -194,7 +194,8 @@ class LargeObjectCache {
   // Retires everything; returns false if any write failed.
   bool DrainInFlight();
   const InFlightRegion* FindInFlight(uint32_t region) const;
-  // Drops every index entry of a region whose write failed.
+  // Drops every index entry of `region` and marks it unsealed: for a region
+  // whose write failed, and for one being evicted.
   void DropRegionContents(uint32_t region);
 
   std::vector<uint8_t> AcquireBuffer();

@@ -16,6 +16,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/obs/trace.h"
+
 namespace fdpcache {
 
 namespace {
@@ -375,7 +377,7 @@ void UringFileDevice::ReaperLoop() {
         }
         IoResult result;
         result.ok = res == static_cast<int32_t>(task.request.size);
-        result.latency_ns = FileWallNowNs() - start_ns;
+        result.latency_ns = obs::NowNs() - start_ns;
         if (result.ok && task.request.op == IoOp::kRead && bounce != nullptr) {
           std::memcpy(task.request.out, bounce, task.request.size);
         }
@@ -458,7 +460,7 @@ bool UringFileDevice::BeginExecute(const LaneTask& task) {
     buffer = op.bounce;
   }
   op.task = task;
-  op.start_ns = FileWallNowNs();
+  op.start_ns = obs::NowNs();
   if (!SubmitSqe(slot, task, buffer)) {
     if (op.fixed_buf >= 0) {
       reg_free_.push_back(op.fixed_buf);

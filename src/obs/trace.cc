@@ -161,16 +161,12 @@ void TraceController::Clear() {
   next_id_.store(0, std::memory_order_relaxed);
 }
 
-bool WriteChromeTrace(const std::vector<TraceEvent>& events, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", f);
+bool WriteChromeTrace(const std::vector<TraceEvent>& events, std::FILE* out) {
+  std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", out);
   bool first = true;
   for (const TraceEvent& e : events) {
     uint64_t dur = e.end_ns > e.start_ns ? e.end_ns - e.start_ns : 0;
-    std::fprintf(f,
+    std::fprintf(out,
                  "%s\n{\"name\":\"%s\",\"cat\":\"fdpcache\",\"ph\":\"X\","
                  "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%u,"
                  "\"args\":{\"trace_id\":%llu,\"op\":%u}}",
@@ -179,9 +175,8 @@ bool WriteChromeTrace(const std::vector<TraceEvent>& events, const std::string& 
                  e.op);
     first = false;
   }
-  std::fputs("\n]}\n", f);
-  bool ok = std::fclose(f) == 0;
-  return ok;
+  std::fputs("\n]}\n", out);
+  return std::ferror(out) == 0;
 }
 
 void SynthesizeCompletionDelivery(std::vector<TraceEvent>* events) {

@@ -36,6 +36,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -251,8 +252,10 @@ class TraceController {
 // --- Export & attribution (run on collected data) ----------------------------
 
 // Writes chrome://tracing "complete" events ({"traceEvents": [...]}) that
-// Perfetto / chrome://tracing load directly. Returns false on I/O error.
-bool WriteChromeTrace(const std::vector<TraceEvent>& events, const std::string& path);
+// Perfetto / chrome://tracing load directly to `out`, which the caller opened
+// and closes (buffered bytes can still fail at fclose). Returns false if a
+// write failed.
+bool WriteChromeTrace(const std::vector<TraceEvent>& events, std::FILE* out);
 
 // Appends synthesized kCompletionDelivery spans: for each trace with a
 // request span and at least one device-execute span, the gap between the

@@ -4,8 +4,9 @@
 // Covers the headline contract — a flash LookupAsync does NOT hold the shard
 // mutex while the device works (a concurrent same-shard RAM hit completes
 // while the flash read is parked at a gate) — plus: callbacks fire exactly
-// once per op, same-key Insert→Lookup ordering through the pending-key
-// table, Flush/Drain as completion barriers, ShardedCacheStats::pending_ops,
+// once per op, every entry point delivers its callback with no shard lock
+// held, same-key Insert→Lookup ordering through the pending-key table,
+// Flush/Drain as completion barriers, ShardedCacheStats::pending_ops,
 // Flush() failure propagation, SOC-bucket RMW serialization, LOC region
 // reads parked asynchronously, and a multi-submitter stress with Drain
 // racing callbacks (run under TSan in CI).
@@ -14,6 +15,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <mutex>
@@ -180,6 +183,92 @@ TEST(AsyncCacheTest, FlashLookupReleasesShardLockWhileReadParked) {
   EXPECT_EQ(out.status, AsyncStatus::kHit);
   EXPECT_EQ(out.value, value_a);
   EXPECT_EQ(cache->Stats().TotalPendingOps(), 0u);
+}
+
+// Every async entry point delivers its callback with no shard lock held,
+// whether the op resolved under the lock (delivered before the call
+// returns) or parked on a flash read (delivered by the poller). Each
+// callback re-enters the one shard with a blocking Get of a key DRAM does
+// not hold, which takes the shard lock: a callback fired under that lock
+// deadlocks there. The body runs on its own thread so that a deadlock fails
+// the binary instead of hanging it; Debug builds' lock-rank checker aborts
+// on the self-deadlock first.
+TEST(AsyncCacheTest, EveryEntryPointDeliversCallbacksWithNoShardLockHeld) {
+  auto body = std::async(std::launch::async, [] {
+    GatedMemDevice device(4 * 1024 * 1024);
+    auto cache = OneShardOver(&device, GatedCacheConfig(/*ram_bytes=*/64 * 1024));
+    ASSERT_TRUE(cache->shard(0).navy().Insert("flash-lookup", std::string(256, 'f')));
+    ASSERT_TRUE(cache->shard(0).navy().Insert("flash-remove", std::string(256, 'r')));
+    cache->Set("ram-lookup", "ram-value");
+    cache->Set("ram-remove", "ram-value");
+    const std::thread::id caller = std::this_thread::get_id();
+
+    struct Delivery {
+      std::atomic<bool> done{false};
+      AsyncStatus status = AsyncStatus::kError;
+      bool on_caller = false;
+    };
+    const auto reenter = [&cache, caller](Delivery* d) {
+      return [&cache, caller, d](AsyncResult r) {
+        std::string value;
+        EXPECT_FALSE(cache->Get("not-cached", &value));
+        d->status = r.status;
+        d->on_caller = std::this_thread::get_id() == caller;
+        d->done.store(true);
+      };
+    };
+
+    // LookupAsync, RAM hit: the lock-free probe serves it inline.
+    Delivery ram_lookup;
+    cache->LookupAsync("ram-lookup", reenter(&ram_lookup));
+    EXPECT_TRUE(ram_lookup.done.load());
+    EXPECT_EQ(ram_lookup.status, AsyncStatus::kHit);
+
+    // InsertAsync, small item: resolved under the lock, delivered inline.
+    Delivery small_insert;
+    cache->InsertAsync("small-insert", "small-value", reenter(&small_insert));
+    EXPECT_TRUE(small_insert.done.load());
+    EXPECT_EQ(small_insert.status, AsyncStatus::kOk);
+
+    // InsertAsync, oversized for the 64 KiB DRAM tier: straight to flash.
+    Delivery big_insert;
+    cache->InsertAsync("big-insert", std::string(100 * 1024, 'b'), reenter(&big_insert));
+    ASSERT_TRUE(AwaitTrue(big_insert.done));
+    EXPECT_EQ(big_insert.status, AsyncStatus::kOk);
+
+    // RemoveAsync, RAM-only key (flash never held it).
+    Delivery ram_remove;
+    cache->RemoveAsync("ram-remove", reenter(&ram_remove));
+    ASSERT_TRUE(AwaitTrue(ram_remove.done));
+    EXPECT_EQ(ram_remove.status, AsyncStatus::kOk);
+
+    // The flash cases park their bucket read at the closed gate, so the
+    // poller, not this thread, delivers them once the gate opens.
+    Delivery flash_lookup;
+    device.CloseReadGate();
+    cache->LookupAsync("flash-lookup", reenter(&flash_lookup));
+    ASSERT_TRUE(device.WaitUntilReadParked());
+    device.OpenReadGate();
+    ASSERT_TRUE(AwaitTrue(flash_lookup.done));
+    EXPECT_EQ(flash_lookup.status, AsyncStatus::kHit);
+    EXPECT_FALSE(flash_lookup.on_caller);
+
+    Delivery flash_remove;
+    device.CloseReadGate();
+    cache->RemoveAsync("flash-remove", reenter(&flash_remove));
+    ASSERT_TRUE(device.WaitUntilReadParked());
+    device.OpenReadGate();
+    ASSERT_TRUE(AwaitTrue(flash_remove.done));
+    EXPECT_EQ(flash_remove.status, AsyncStatus::kOk);
+    EXPECT_FALSE(flash_remove.on_caller);
+  });
+  if (body.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // The deadlocked thread can never be joined, and the future's destructor
+    // would wait for it: fail the whole binary now.
+    std::fprintf(stderr, "an async callback was delivered under the shard lock (deadlock)\n");
+    std::abort();
+  }
+  body.get();
 }
 
 TEST(AsyncCacheTest, BlockingSetDuringParkedLookupIsNotClobberedByPromotion) {

@@ -216,7 +216,10 @@ TEST(TraceExportTest, ChromeTraceJsonContainsStageNames) {
   e.start_ns = 1000;
   e.end_ns = 3000;
   const std::string path = ::testing::TempDir() + "/trace_export_test.json";
-  ASSERT_TRUE(obs::WriteChromeTrace({e}, path));
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  ASSERT_NE(out, nullptr);
+  ASSERT_TRUE(obs::WriteChromeTrace({e}, out));
+  ASSERT_EQ(std::fclose(out), 0);
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();

@@ -305,14 +305,14 @@ TEST(SharedDeviceBackendTest, ShardsRideDistinctQueuePairsAndPerQpStatsSurface) 
   }
   cache.Flush();  // Seal + retire + drain every queue pair.
 
-  const ShardedCacheStats stats = cache.Stats();
-  ASSERT_EQ(stats.device_queue_pairs.size(), 4u);
+  const std::vector<QueuePairStats> queue_pairs = backend.device(0).PerQueuePairStats();
+  ASSERT_EQ(queue_pairs.size(), 4u);
   const DeviceStats device = backend.device(0).stats();
   uint64_t qp_writes = 0;
   uint64_t qp_write_bytes = 0;
   uint64_t qp_latency_count = 0;
   uint32_t qps_with_traffic = 0;
-  for (const QueuePairStats& qp : stats.device_queue_pairs) {
+  for (const QueuePairStats& qp : queue_pairs) {
     qp_writes += qp.writes;
     qp_write_bytes += qp.write_bytes;
     qp_latency_count += qp.write_latency_ns.Count();
@@ -327,8 +327,8 @@ TEST(SharedDeviceBackendTest, ShardsRideDistinctQueuePairsAndPerQpStatsSurface) 
 }
 
 // Execution lanes behind the shared device's arbiter: the backend knob wires
-// through, lane stats surface in ShardedCacheStats, and every arbitrated
-// request went through exactly one lane.
+// through, the device reports per-lane stats, and every arbitrated request
+// went through exactly one lane.
 TEST(SharedDeviceBackendTest, ExecutionLanesWireThroughBackendAndSurfaceInStats) {
   ShardedBackendConfig config = SharedConfig(4);
   config.exec_lanes = 2;
@@ -344,16 +344,16 @@ TEST(SharedDeviceBackendTest, ExecutionLanesWireThroughBackendAndSurfaceInStats)
   }
   cache.Flush();
 
-  const ShardedCacheStats stats = cache.Stats();
-  ASSERT_EQ(stats.device_lanes.size(), 2u);
+  const std::vector<LaneStats> lanes = backend.device(0).PerLaneStats();
+  ASSERT_EQ(lanes.size(), 2u);
   uint64_t lane_dispatches = 0;
-  for (const LaneStats& lane : stats.device_lanes) {
+  for (const LaneStats& lane : lanes) {
     EXPECT_GT(lane.dispatches, 0u);
     EXPECT_GT(lane.busy_ns, 0u);
     lane_dispatches += lane.dispatches;
   }
   uint64_t qp_dispatches = 0;
-  for (const QueuePairStats& qp : stats.device_queue_pairs) {
+  for (const QueuePairStats& qp : backend.device(0).PerQueuePairStats()) {
     qp_dispatches += qp.dispatched;
   }
   EXPECT_EQ(lane_dispatches, qp_dispatches);
@@ -362,7 +362,7 @@ TEST(SharedDeviceBackendTest, ExecutionLanesWireThroughBackendAndSurfaceInStats)
   ShardedSimBackend inline_backend(SharedConfig(4));
   inline_backend.cache().Set("k", "v");
   inline_backend.cache().Flush();
-  EXPECT_TRUE(inline_backend.cache().Stats().device_lanes.empty());
+  EXPECT_TRUE(inline_backend.device(0).PerLaneStats().empty());
 }
 
 // The shared-device counterpart of MultithreadedMixedSmoke: 4 threads of

@@ -7,9 +7,13 @@
 //   fdpbench --workload=kvcache --utilization=1.0 --fdp=false
 //   fdpbench --workload=twitter --tenants=2 --ops=500000 --csv
 //   fdpbench --workload=wokv --soc=0.16 --op=0.07 --superblocks=512
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -200,9 +204,10 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  // Provisioning failures (e.g. tenants that do not fit the device) and a
-  // live-metrics file that cannot be written throw; report them as a usage
-  // error rather than crashing.
+  // Provisioning failures (e.g. tenants that do not fit the device), a
+  // live-metrics file that cannot be written and a trace file that cannot be
+  // opened or written throw; report them as a usage error rather than
+  // crashing.
   std::unique_ptr<ExperimentRunner> runner;
   std::FILE* stats_file = nullptr;
   MetricsReport r;
@@ -219,7 +224,12 @@ int Run(int argc, char** argv) {
   } catch (const std::exception& e) {
     if (stats_file != nullptr) {
       std::fclose(stats_file);
-      std::remove(stats_json.c_str());
+      // Only a regular file is removed: the path may name a device node
+      // (say /dev/null), which must survive a failed run.
+      struct stat st {};
+      if (::lstat(stats_json.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
+        std::remove(stats_json.c_str());
+      }
     }
     std::fprintf(stderr, "fdpbench: %s\n", e.what());
     return 2;
@@ -229,8 +239,12 @@ int Run(int argc, char** argv) {
   // named file, so CSV stdout stays byte-identical to an un-flagged run.
   if (stats_file != nullptr) {
     const std::string json = MetricsReportToJson(r);
-    std::fwrite(json.data(), 1, json.size(), stats_file);
-    std::fclose(stats_file);
+    const bool written = std::fwrite(json.data(), 1, json.size(), stats_file) == json.size();
+    if (std::fclose(stats_file) != 0 || !written) {
+      std::fprintf(stderr, "fdpbench: cannot write --stats-json=%s: %s\n", stats_json.c_str(),
+                   std::strerror(errno));
+      return 2;
+    }
   }
 
   if (csv) {
