@@ -139,12 +139,15 @@ bool RamCache::Put(std::string_view key, std::string_view value) {
       used_.fetch_add(need, std::memory_order_relaxed);
     }
     if (old != nullptr) {
-      lru_by_stamp_.erase(old->lru_key);
+      HeapErase(old->heap_pos);
       retired.Push(old);
     }
-    lru_by_stamp_.emplace(stamp, fresh);
-    fresh->lru_key = stamp;
     if (used_.load(std::memory_order_relaxed) > budget_) EvictToBudget(&retired);
+    // Indexed after evicting, so the heap never outgrows the item count. In
+    // serialized use the fresh node holds the largest stamp, so it could
+    // not have been a victim anyway.
+    lru_heap_.emplace_back();
+    HeapFix(lru_heap_.size() - 1, {stamp, fresh});
   }
   // The victims are unlinked and out of the index, so no other writer can
   // reach (let alone retire) them: their bytes stay valid through the
@@ -226,30 +229,54 @@ bool RamCache::Remove(std::string_view key) {
     UnlinkLocked(bucket, victim, pred);
     used_.fetch_sub(ItemBytes(victim), std::memory_order_relaxed);
     count_.fetch_sub(1, std::memory_order_relaxed);
-    lru_by_stamp_.erase(victim->lru_key);
+    HeapErase(victim->heap_pos);
     removed.Push(victim);
   }
   Retire(removed);
   return true;
 }
 
+void RamCache::HeapSet(size_t pos, HeapEntry entry) {
+  lru_heap_[pos] = entry;
+  entry.node->heap_pos = pos;
+}
+
+void RamCache::HeapFix(size_t pos, HeapEntry entry) {
+  while (pos > 0 && lru_heap_[(pos - 1) / 2].stamp > entry.stamp) {
+    const size_t parent = (pos - 1) / 2;
+    HeapSet(pos, lru_heap_[parent]);
+    pos = parent;
+  }
+  const size_t size = lru_heap_.size();
+  for (size_t child = 2 * pos + 1; child < size; child = 2 * pos + 1) {
+    if (child + 1 < size && lru_heap_[child + 1].stamp < lru_heap_[child].stamp) ++child;
+    if (lru_heap_[child].stamp > entry.stamp) break;
+    HeapSet(pos, lru_heap_[child]);
+    pos = child;
+  }
+  HeapSet(pos, entry);
+}
+
+void RamCache::HeapErase(size_t pos) {
+  const HeapEntry last = lru_heap_.back();
+  lru_heap_.pop_back();
+  if (pos < lru_heap_.size()) HeapFix(pos, last);
+}
+
 void RamCache::EvictToBudget(NodeChain* victims) {
-  while (used_.load(std::memory_order_relaxed) > budget_ && !lru_by_stamp_.empty()) {
-    const auto it = lru_by_stamp_.begin();
-    const uint64_t recorded = it->first;
-    Node* node = it->second;
-    const uint64_t actual = node->stamp.load(std::memory_order_relaxed);
-    if (actual != recorded) {
-      // Lazy repair: the node was touched since it was indexed. Re-file
-      // it at its actual stamp and re-pick. The loop terminates at a node
+  while (used_.load(std::memory_order_relaxed) > budget_ && !lru_heap_.empty()) {
+    const HeapEntry root = lru_heap_.front();
+    const uint64_t actual = root.node->stamp.load(std::memory_order_relaxed);
+    if (actual != root.stamp) {
+      // Lazy repair: the node was touched since it was indexed. Re-key the
+      // root at its actual stamp and re-pick. The loop terminates at a node
       // whose recorded == actual stamp, which is then <= every other
       // recorded key <= its node's actual stamp — the global minimum, so
       // eviction order matches exact LRU whenever calls are serialized.
-      lru_by_stamp_.erase(it);
-      lru_by_stamp_.emplace(actual, node);
-      node->lru_key = actual;
+      HeapFix(0, {actual, root.node});
       continue;
     }
+    Node* node = root.node;
     Bucket& bucket = BucketFor(node->key());
     {
       CountLockAcquisition();
@@ -259,7 +286,7 @@ void RamCache::EvictToBudget(NodeChain* victims) {
     used_.fetch_sub(ItemBytes(node), std::memory_order_relaxed);
     count_.fetch_sub(1, std::memory_order_relaxed);
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    lru_by_stamp_.erase(it);
+    HeapErase(0);
     victims->Push(node);
   }
 }

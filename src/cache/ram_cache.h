@@ -39,11 +39,14 @@
 // LRU is exact when calls are serialized and approximate under concurrency:
 // every Put and Get-hit draws a fresh tick from a per-cache counter and
 // stores it in the node's atomic stamp (the contention-free "LRU touch" —
-// no list splicing, no lock). Eviction keeps a stamp-ordered index
-// (`lru_by_stamp_`, guarded by `evict_mu_`) that records the stamp each
-// node had when last indexed; Get never touches it. The evictor lazily
-// repairs the index: it pops the minimum recorded stamp and, if the node's
-// actual stamp has moved on, re-files it and tries again — so the evicted
+// no list splicing, no lock). Eviction keeps a binary min-heap of
+// {recorded stamp, node} entries in a vector (`lru_heap_`, guarded by
+// `evict_mu_`), each node holding its own position so it can be erased in
+// place; Get never touches it. A Put indexes its node with one push (a
+// fresh tick is the largest, so the sift-up stops at once) and allocates
+// nothing for it beyond the vector's geometric growth. The evictor lazily
+// repairs the heap: if the root's node has a newer actual stamp, the root
+// takes it and sifts down, and the evictor tries again — so the evicted
 // node provably holds the globally minimal stamp, which makes
 // single-threaded behaviour byte-for-byte identical to the old list LRU.
 //
@@ -60,10 +63,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/common/thread_annotations.h"
 
@@ -161,7 +164,7 @@ class RamCache {
     // the limbo FIFO (guarded by limbo_mu_).
     Node* limbo_next = nullptr;
     uint64_t retire_epoch = 0;  // Guarded by limbo_mu_.
-    uint64_t lru_key = 0;       // Recorded index stamp; guarded by evict_mu_.
+    size_t heap_pos = 0;        // Index of its lru_heap_ entry; guarded by evict_mu_.
     const size_t key_size;
     const size_t value_size;
 
@@ -221,6 +224,22 @@ class RamCache {
   // leaving node->next intact for in-flight readers.
   static void UnlinkLocked(Bucket& bucket, Node* node, Node* pred) REQUIRES(bucket.mu);
 
+  // Entries carry their recorded stamp, so sifting compares within the
+  // vector and touches a node only to store its new position.
+  struct HeapEntry {
+    uint64_t stamp;
+    Node* node;
+  };
+  // Stores `entry` at `pos` and tells its node where it is.
+  void HeapSet(size_t pos, HeapEntry entry) REQUIRES(evict_mu_);
+  // Moves the hole at `pos` up or down until `entry` fits there, then
+  // stores it. Either direction can occur: an erase refills its hole with
+  // the last entry, which may belong above or below it, and a concurrent
+  // Get may store an older tick than the one recorded.
+  void HeapFix(size_t pos, HeapEntry entry) REQUIRES(evict_mu_);
+  // Fills the hole at `pos` with the last entry.
+  void HeapErase(size_t pos) REQUIRES(evict_mu_);
+
   // Unlinks minimum-stamp nodes until used_ <= budget_, appending them to
   // `victims` in eviction order.
   void EvictToBudget(NodeChain* victims) REQUIRES(evict_mu_);
@@ -239,12 +258,15 @@ class RamCache {
   std::atomic<size_t> count_{0};
   std::atomic<uint64_t> tick_{1};
 
-  // Eviction index: recorded stamp -> node, holding exactly the linked
-  // nodes. Stamps are globally unique (drawn from tick_), so the key never
-  // collides. Ranks BEFORE the bucket locks: every writer holds it while
-  // locking a bucket.
+  // Eviction index: a min-heap on recorded stamp, holding exactly the
+  // linked nodes whenever evict_mu_ is free. Stamps are globally unique
+  // (drawn from tick_), so the minimum is never tied. The vector grows
+  // geometrically and never shrinks; it is not reserved from the budget,
+  // which would cost a quarter of the budget up front for minimum-size
+  // items. evict_mu_ ranks BEFORE the bucket locks: every writer holds it
+  // while locking a bucket.
   mutable fdp::Mutex evict_mu_{lock_rank::Make(lock_rank::kRamEvict), "ram_evict"};
-  std::map<uint64_t, Node*> lru_by_stamp_ GUARDED_BY(evict_mu_);
+  std::vector<HeapEntry> lru_heap_ GUARDED_BY(evict_mu_);
 
   // FIFO of retired nodes, oldest (smallest retire_epoch) at the head.
   mutable fdp::Mutex limbo_mu_{lock_rank::Make(lock_rank::kRamLimbo), "ram_limbo"};

@@ -11,7 +11,8 @@ const std::vector<RankInfo>& DocumentedRanks() {
   // ascending, names are unique, and the table covers every fdp::Mutex
   // constructed by the library. Keep in sync with the README rank table.
   static const std::vector<RankInfo> kTable = {
-      {kReplayWindow, "replay_window", "ConcurrentReplayDriver async window; callbacks hold no locks"},
+      {kReplayWindow, "replay_window",
+       "ConcurrentReplayDriver async window; callbacks hold no locks"},
       {kShard, "shard", "ShardedCache::Shard::mu; outermost data-path lock (held across SyncIo)"},
       {kCachePoller, "cache_poller", "ShardedCache::poll_mu_; never nests with the shard lock"},
       {kRamEvict, "ram_evict", "RamCache::evict_mu_; every writer takes bucket locks under it"},
@@ -21,9 +22,11 @@ const std::vector<RankInfo>& DocumentedRanks() {
       {kQueuePair, "qp", "QueuedDevice::IoQueuePair::mu; minor = QP index, one held at a time"},
       {kDevicePipeline, "device_pipeline", "QueuedDevice::mu_; dispatcher wake/idle handshake"},
       {kDeviceTracker, "device_tracker", "QueuedDevice::tracker_mu_; the one conflict tracker"},
-      {kUringSubmit, "uring_submit", "UringFileDevice::submit_mu_; leaf (reaper completes unlocked)"},
+      {kUringSubmit, "uring_submit",
+       "UringFileDevice::submit_mu_; leaf (reaper completes unlocked)"},
       {kSsd, "ssd", "SimulatedSsd::mu_; under the shard lock on the blocking path"},
-      {kTrace, "trace", "obs::TraceController::mu_; first-span ring registration under QP/shard/SSD"},
+      {kTrace, "trace",
+       "obs::TraceController::mu_; first-span ring registration under QP/shard/SSD"},
   };
   return kTable;
 }

@@ -578,7 +578,8 @@ std::vector<obs::MetricSample> ExperimentRunner::MetricsSnapshot() const {
   const std::vector<LaneStats> lanes = device.PerLaneStats();
   for (size_t i = 0; i < lanes.size(); ++i) {
     const std::string label = "{lane=\"" + std::to_string(i) + "\"}";
-    samples.push_back(MetricSample::Counter("fdpcache_lane_dispatches" + label, lanes[i].dispatches));
+    samples.push_back(
+        MetricSample::Counter("fdpcache_lane_dispatches" + label, lanes[i].dispatches));
     samples.push_back(
         MetricSample::Counter("fdpcache_lane_conflict_waits" + label, lanes[i].conflict_waits));
     samples.push_back(MetricSample::Counter("fdpcache_lane_busy_ns" + label, lanes[i].busy_ns));

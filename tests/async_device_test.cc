@@ -115,7 +115,8 @@ TEST_F(AsyncSimDeviceTest, SubmissionOrderResolvesOverlappingTrimAndWrite) {
   EXPECT_EQ(out, b);  // FIFO execution: B landed after the trim.
 
   // ...and the mirror image: a trim submitted last wins over the write.
-  const CompletionToken w = device_->Submit(IoRequest::MakeWrite(kPage, a.data(), kPage, kNoPlacement));
+  const CompletionToken w =
+      device_->Submit(IoRequest::MakeWrite(kPage, a.data(), kPage, kNoPlacement));
   const CompletionToken t = device_->Submit(IoRequest::MakeTrim(kPage, kPage));
   EXPECT_TRUE(device_->Wait(w).ok);
   EXPECT_TRUE(device_->Wait(t).ok);
