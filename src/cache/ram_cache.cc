@@ -107,10 +107,8 @@ void RamCache::UnlinkLocked(Bucket& bucket, Node* node, Node* pred) {
 }
 
 bool RamCache::Put(std::string_view key, std::string_view value) {
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
   const uint64_t need = ItemBytes(key, value);
   if (need > budget_) {
-    stats_.rejected_too_large.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   const uint64_t stamp = NextTick();
@@ -166,7 +164,6 @@ bool RamCache::Put(std::string_view key, std::string_view value) {
 }
 
 bool RamCache::Get(std::string_view key, std::string* value) {
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
   EpochRegistry::ReadGuard guard;
   Bucket& bucket = BucketFor(key);
   for (uint64_t spins = 0;; ++spins) {
@@ -181,7 +178,6 @@ bool RamCache::Get(std::string_view key, std::string* value) {
       // the epoch guard keeps it allocated even if concurrently unlinked.
       if (value != nullptr) value->assign(n->value());
       n->stamp.store(NextTick(), std::memory_order_relaxed);  // LRU touch.
-      stats_.hits.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     // A miss is only trustworthy if no writer unlinked during the walk: an
@@ -345,12 +341,7 @@ size_t RamCache::ReapDeferred() { return Reclaim(std::numeric_limits<size_t>::ma
 
 RamCacheStats RamCache::stats() const {
   RamCacheStats snapshot;
-  snapshot.puts = stats_.puts.load(std::memory_order_relaxed);
-  snapshot.gets = stats_.gets.load(std::memory_order_relaxed);
-  snapshot.hits = stats_.hits.load(std::memory_order_relaxed);
   snapshot.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  snapshot.rejected_too_large =
-      stats_.rejected_too_large.load(std::memory_order_relaxed);
   snapshot.optimistic_retries =
       stats_.optimistic_retries.load(std::memory_order_relaxed);
   snapshot.lock_acquisitions =

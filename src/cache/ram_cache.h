@@ -73,11 +73,7 @@
 namespace fdpcache {
 
 struct RamCacheStats {
-  uint64_t puts = 0;
-  uint64_t gets = 0;
-  uint64_t hits = 0;
   uint64_t evictions = 0;
-  uint64_t rejected_too_large = 0;
   // Reader retries caused by a concurrent writer invalidating an optimistic
   // chain walk (seqlock validation failure). Zero in serialized use.
   uint64_t optimistic_retries = 0;
@@ -277,11 +273,7 @@ class RamCache {
   EvictionCallback on_evict_;
 
   struct AtomicStats {
-    std::atomic<uint64_t> puts{0};
-    std::atomic<uint64_t> gets{0};
-    std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> rejected_too_large{0};
     std::atomic<uint64_t> optimistic_retries{0};
     std::atomic<uint64_t> lock_acquisitions{0};
   };

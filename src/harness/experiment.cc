@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "src/common/epoch_reclaim.h"
+#include "src/harness/report.h"
 
 namespace fdpcache {
 
@@ -22,9 +23,9 @@ constexpr TimeNs kDeviceBacklogWindowNs = 4'000'000;
 
 SsdConfig MakeSsdConfig(const ExperimentConfig& config) {
   SsdConfig ssd;
-  ssd.geometry.pages_per_block = config.pages_per_block;
-  ssd.geometry.planes_per_die = config.planes_per_die;
-  ssd.geometry.num_dies = config.num_dies;
+  ssd.geometry.pages_per_block = ExperimentConfig::kPagesPerBlock;
+  ssd.geometry.planes_per_die = ExperimentConfig::kPlanesPerDie;
+  ssd.geometry.num_dies = ExperimentConfig::kNumDies;
   ssd.geometry.num_superblocks = config.num_superblocks;
   ssd.fdp = FdpConfig::Uniform(8, config.ruh_type);
   ssd.op_fraction = config.device_op_fraction;
@@ -128,7 +129,7 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(con
     tenant->generator = std::make_unique<KvTraceGenerator>(tenant_workload);
     tenants_.push_back(std::move(tenant));
   }
-  if (config_.metrics_interval_ms > 0) {
+  if (!config_.metrics_path.empty() || config_.metrics_interval_ms > 0) {
     publisher_ = std::make_unique<obs::MetricsPublisher>(
         config_.metrics_path.empty() ? "fdpbench_metrics.prom" : config_.metrics_path);
   }
@@ -147,6 +148,10 @@ ExperimentRunner::~ExperimentRunner() {
   if (trace_file_ != nullptr) {
     std::fclose(trace_file_);
   }
+}
+
+TimeNs ExperimentRunner::Now() const {
+  return stack_->ssd() != nullptr ? stack_->clock().now() : obs::NowNs();
 }
 
 uint64_t ExperimentRunner::HostBytesWritten() const {
@@ -301,10 +306,6 @@ void ExperimentRunner::ExecuteOp(Tenant& tenant, const Op& op) {
 
 MetricsReport ExperimentRunner::Run() {
   SimulatedSsd* ssd = stack_->ssd();
-  Device& device = stack_->device();
-  // Virtual time on the simulator; wall time against real hardware, where the
-  // virtual clock only ticks the modeled host CPU cost.
-  const auto now = [&] { return ssd != nullptr ? stack_->clock().now() : obs::NowNs(); };
 
   // --- Warm-up: fill the flash cache, then reset statistics -----------------
   const uint64_t warmup_bytes = static_cast<uint64_t>(
@@ -324,9 +325,9 @@ MetricsReport ExperimentRunner::Run() {
   // so the async run enters measurement from the same cache state a
   // synchronous run would — only the pending device writes land. At
   // queue_depth == 1 nothing is in flight and this is skipped entirely.
-  uint64_t flush_failures = 0;
+  run_ = MetricsReport{};
   if (!Barrier()) {
-    ++flush_failures;
+    ++run_.flush_failures;
   }
   if (ssd != nullptr) {
     ssd->ftl().ResetStats();
@@ -336,7 +337,7 @@ MetricsReport ExperimentRunner::Run() {
     tenant->cache->ResetStats();
     tenant->verify_failures = 0;
   }
-  device.ResetStats();
+  stack_->device().ResetStats();
   // Observability covers only the measured phase: tracing and the live
   // snapshots start after the warm-up reset so stage spans and time series
   // describe steady state. Both read the wall clock only — the virtual
@@ -347,22 +348,21 @@ MetricsReport ExperimentRunner::Run() {
   }
   const auto metrics_interval = std::chrono::milliseconds(config_.metrics_interval_ms);
   auto next_snapshot = std::chrono::steady_clock::now() + metrics_interval;
-  const TimeNs measure_start = now();
+  measure_start_ = Now();
 
   // --- Measured phase with interval DLWA sampling ---------------------------
-  MetricsReport report;
   FdpStatistics last_sample =
       ssd != nullptr ? ssd->GetFdpStatisticsLog() : FdpStatistics{};
-  uint64_t executed = 0;
+  uint64_t& executed = run_.ops_executed;
   // Live exposition: every 256 ops, publish a snapshot if an interval has
   // passed on the steady clock.
   const auto maybe_publish = [&] {
-    if (publisher_ == nullptr || executed % 256 >= tenants_.size()) {
+    if (config_.metrics_interval_ms == 0 || executed % 256 >= tenants_.size()) {
       return;
     }
     const auto wall_now = std::chrono::steady_clock::now();
     if (wall_now >= next_snapshot) {
-      publisher_->Publish(obs::RenderPrometheus(MetricsSnapshot()));
+      publisher_->Publish(obs::RenderPrometheus(ReportSamples(Collect())));
       next_snapshot = wall_now + metrics_interval;
     }
   };
@@ -391,7 +391,7 @@ MetricsReport ExperimentRunner::Run() {
         if (ssd != nullptr && written >= next_sample_bytes) {
           const FdpStatistics now_stats = ssd->GetFdpStatisticsLog();
           if (now_stats.host_bytes_written > last_sample.host_bytes_written) {
-            report.interval_dlwa.push_back(FdpStatistics::IntervalDlwa(last_sample, now_stats));
+            run_.interval_dlwa.push_back(FdpStatistics::IntervalDlwa(last_sample, now_stats));
             last_sample = now_stats;
             next_sample_bytes += sample_stride;
           }
@@ -411,7 +411,7 @@ MetricsReport ExperimentRunner::Run() {
       if (ssd != nullptr && executed % sample_interval < tenants_.size()) {
         const FdpStatistics now_stats = ssd->GetFdpStatisticsLog();
         if (now_stats.host_bytes_written > last_sample.host_bytes_written) {
-          report.interval_dlwa.push_back(FdpStatistics::IntervalDlwa(last_sample, now_stats));
+          run_.interval_dlwa.push_back(FdpStatistics::IntervalDlwa(last_sample, now_stats));
           last_sample = now_stats;
         }
       }
@@ -420,7 +420,7 @@ MetricsReport ExperimentRunner::Run() {
 
   // Sample the sustained cache-tier queue depth before the barrier drains it.
   for (auto& tenant : tenants_) {
-    report.pending_cache_ops.push_back(tenant->cache->pending_async_ops());
+    run_.pending_cache_ops.push_back(tenant->cache->pending_async_ops());
   }
 
   // Reap the async pipeline before reading any statistic, so host/device
@@ -429,9 +429,8 @@ MetricsReport ExperimentRunner::Run() {
   // unwritten, exactly as it would in a synchronous run, keeping qd>1 byte
   // accounting comparable to the qd=1 baseline. No-op in synchronous mode.
   if (!Barrier()) {
-    ++flush_failures;
+    ++run_.flush_failures;
   }
-  report.flush_failures = flush_failures;
 
   // Tracing stays live through the barrier above so completion-delivery tails
   // of sampled requests are captured; disable before reading the rings.
@@ -449,46 +448,67 @@ MetricsReport ExperimentRunner::Run() {
                                  std::strerror(errno));
       }
     }
-    report.trace = obs::BuildTraceBreakdown(events);
-    report.trace.dropped = tc.DroppedEvents();
-    report.traced = true;
+    run_.trace = obs::BuildTraceBreakdown(events);
+    run_.trace.dropped = tc.DroppedEvents();
+    run_.traced = true;
   }
+
+  MetricsReport report = Collect();
   if (publisher_ != nullptr) {
     // The final snapshot covers the whole measured phase.
-    publisher_->Publish(obs::RenderPrometheus(MetricsSnapshot()));
+    publisher_->Publish(obs::RenderPrometheus(ReportSamples(report)));
     report.metrics_snapshots = publisher_->snapshots_written();
   }
+  return report;
+}
 
-  // --- Collect ----------------------------------------------------------------
-  const TimeNs elapsed = now() - measure_start;
+MetricsReport ExperimentRunner::Collect() const {
+  MetricsReport report = run_;
+  const SimulatedSsd* ssd = stack_->ssd();
+  const Device& device = stack_->device();
+  const TimeNs elapsed = Now() - measure_start_;
   report.elapsed_virtual_ns = elapsed;
-  report.ops_executed = executed;
-  // A plain file rewrites in place: device bytes == host bytes, DLWA 1.
-  report.final_dlwa = ssd != nullptr ? ssd->GetFdpStatisticsLog().Dlwa() : 1.0;
-  report.host_bytes_written = HostBytesWritten();
-  report.throughput_kops =
-      elapsed == 0 ? 0.0
-                   : static_cast<double>(executed) / (static_cast<double>(elapsed) / 1e9) / 1e3;
+  report.throughput_kops = elapsed == 0 ? 0.0
+                                        : static_cast<double>(report.ops_executed) /
+                                              (static_cast<double>(elapsed) / 1e9) / 1e3;
 
   HybridCacheStats cache_stats;
-  double item_bytes = 0;
-  double dev_bytes = 0;
-  double soc_dev_bytes = 0;
-  for (auto& tenant : tenants_) {
+  uint64_t item_bytes = 0;
+  uint64_t dev_bytes = 0;
+  uint64_t soc_dev_bytes = 0;
+  for (const auto& tenant : tenants_) {
     cache_stats.Merge(tenant->cache->stats());
     const NavyStats navy = tenant->cache->navy().stats();
-    item_bytes += static_cast<double>(navy.soc.item_bytes_written + navy.loc.item_bytes_written);
-    dev_bytes += static_cast<double>(navy.soc.bytes_written + navy.loc.bytes_written);
-    soc_dev_bytes += static_cast<double>(navy.soc.bytes_written);
+    item_bytes += navy.soc.item_bytes_written + navy.loc.item_bytes_written;
+    dev_bytes += navy.soc.bytes_written + navy.loc.bytes_written;
+    soc_dev_bytes += navy.soc.bytes_written;
     report.verify_failures += tenant->verify_failures;
+    report.pending_ops += tenant->cache->pending_async_ops();
+    report.epoch_limbo_nodes += tenant->cache->ram().deferred_nodes();
   }
   report.gets = cache_stats.gets;
   report.sets = cache_stats.sets;
+  report.ram_hits = cache_stats.ram_hits;
+  report.nvm_lookups = cache_stats.nvm_lookups;
+  report.nvm_hits = cache_stats.nvm_hits;
+  report.misses = cache_stats.misses;
   report.hit_ratio = cache_stats.HitRatio();
   report.nvm_hit_ratio = cache_stats.NvmHitRatio();
-  report.alwa = item_bytes == 0 ? 1.0 : dev_bytes / item_bytes;
-  report.soc_write_share = dev_bytes == 0 ? 0.0 : soc_dev_bytes / dev_bytes;
-  const DeviceStats device_stats = device.stats();
+  report.alwa =
+      item_bytes == 0 ? 1.0 : static_cast<double>(dev_bytes) / static_cast<double>(item_bytes);
+  report.soc_write_share =
+      dev_bytes == 0 ? 0.0 : static_cast<double>(soc_dev_bytes) / static_cast<double>(dev_bytes);
+  report.epoch_active_readers = EpochRegistry::Instance().ActiveReaders();
+
+  report.device_queue_pairs = device.PerQueuePairStats();
+  report.device_lanes = device.PerLaneStats();
+  report.device_in_flight = device.InFlight();
+  report.device_page_bytes = device.page_size();
+  // Device::stats() is this sum; merging the copy keeps one read of the QPs.
+  DeviceStats device_stats;
+  for (const QueuePairStats& qp : report.device_queue_pairs) {
+    device_stats.Merge(qp);
+  }
   const Histogram& reads = device_stats.read_latency_ns;
   const Histogram& writes = device_stats.write_latency_ns;
   report.p50_read_ns = reads.Percentile(50);
@@ -497,11 +517,15 @@ MetricsReport ExperimentRunner::Run() {
   report.p50_write_ns = writes.Percentile(50);
   report.p99_write_ns = writes.Percentile(99);
   report.p999_write_ns = writes.Percentile(99.9);
-  report.device_queue_pairs = device.PerQueuePairStats();
-  report.device_lanes = device.PerLaneStats();
 
+  // A plain file rewrites in place: device bytes == host bytes, DLWA 1.
+  report.host_bytes_written = dev_bytes;
+  report.device_physical_bytes =
+      ssd != nullptr ? ssd->physical_capacity_bytes() : device.size_bytes();
   if (ssd != nullptr) {
     const SsdTelemetry telemetry = ssd->Telemetry(elapsed);
+    report.final_dlwa = telemetry.dlwa;
+    report.host_bytes_written = telemetry.fdp_stats.host_bytes_written;
     report.gc_events = telemetry.gc_events;
     report.per_die_busy_ns = telemetry.per_die_busy_ns;
     report.gc_relocated_pages = telemetry.gc_relocated_pages;
@@ -523,88 +547,9 @@ MetricsReport ExperimentRunner::Run() {
   }
   report.overwrite_passes_done = static_cast<double>(report.host_bytes_written) /
                                  static_cast<double>(logical_bytes_);
-  report.device_page_bytes = device.page_size();
-
   report.cache_bytes = cache_bytes_per_tenant_;
   report.ram_bytes = ram_bytes_;
-  report.device_physical_bytes =
-      ssd != nullptr ? ssd->physical_capacity_bytes() : device.size_bytes();
   return report;
-}
-
-std::vector<obs::MetricSample> ExperimentRunner::MetricsSnapshot() const {
-  using obs::MetricSample;
-  HybridCacheStats cache;
-  uint64_t pending_ops = 0;
-  uint64_t limbo = 0;
-  for (const auto& tenant : tenants_) {
-    cache.Merge(tenant->cache->stats());
-    pending_ops += tenant->cache->pending_async_ops();
-    limbo += tenant->cache->ram().deferred_nodes();
-  }
-  const Device& device = stack_->device();
-  const DeviceStats dev = device.stats();
-  std::vector<MetricSample> samples = {
-      MetricSample::Counter("fdpcache_cache_gets", cache.gets),
-      MetricSample::Counter("fdpcache_cache_sets", cache.sets),
-      MetricSample::Counter("fdpcache_cache_ram_hits", cache.ram_hits),
-      MetricSample::Counter("fdpcache_cache_nvm_hits", cache.nvm_hits),
-      MetricSample::Counter("fdpcache_cache_nvm_lookups", cache.nvm_lookups),
-      MetricSample::Counter("fdpcache_cache_misses", cache.misses),
-      MetricSample::Gauge("fdpcache_cache_pending_ops", static_cast<double>(pending_ops)),
-      // Epoch-reclaim limbo depth: nodes awaiting a safe epoch plus readers
-      // currently pinning one (the lock-free DRAM hit path's deferred frees).
-      MetricSample::Gauge("fdpcache_epoch_limbo_nodes", static_cast<double>(limbo)),
-      MetricSample::Gauge("fdpcache_epoch_active_readers",
-                          static_cast<double>(EpochRegistry::Instance().ActiveReaders())),
-      MetricSample::Counter("fdpcache_device_reads", dev.reads),
-      MetricSample::Counter("fdpcache_device_writes", dev.writes),
-      MetricSample::Counter("fdpcache_device_read_bytes", dev.read_bytes),
-      MetricSample::Counter("fdpcache_device_write_bytes", dev.write_bytes),
-      MetricSample::Gauge("fdpcache_device_in_flight", static_cast<double>(device.InFlight())),
-  };
-  const std::vector<QueuePairStats> qps = device.PerQueuePairStats();
-  for (size_t i = 0; i < qps.size(); ++i) {
-    const std::string label = "{qp=\"" + std::to_string(i) + "\"}";
-    samples.push_back(MetricSample::Counter("fdpcache_qp_reads" + label, qps[i].reads));
-    samples.push_back(MetricSample::Counter("fdpcache_qp_writes" + label, qps[i].writes));
-    samples.push_back(MetricSample::Counter("fdpcache_qp_dispatched" + label, qps[i].dispatched));
-    // Submissions that parked on the congestion window = window stalls.
-    samples.push_back(
-        MetricSample::Counter("fdpcache_qp_window_stalls" + label, qps[i].admission_waits));
-    samples.push_back(
-        MetricSample::Counter("fdpcache_qp_conflict_defers" + label, qps[i].conflict_defers));
-  }
-  const std::vector<LaneStats> lanes = device.PerLaneStats();
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    const std::string label = "{lane=\"" + std::to_string(i) + "\"}";
-    samples.push_back(
-        MetricSample::Counter("fdpcache_lane_dispatches" + label, lanes[i].dispatches));
-    samples.push_back(
-        MetricSample::Counter("fdpcache_lane_conflict_waits" + label, lanes[i].conflict_waits));
-    samples.push_back(MetricSample::Counter("fdpcache_lane_busy_ns" + label, lanes[i].busy_ns));
-  }
-
-  if (const SimulatedSsd* ssd = stack_->ssd()) {
-    const FdpStatistics fdp = ssd->GetFdpStatisticsLog();
-    const SsdTelemetry telemetry = ssd->Telemetry(0);
-    samples.push_back(MetricSample::Gauge("fdpcache_ssd_dlwa", fdp.Dlwa()));
-    samples.push_back(
-        MetricSample::Counter("fdpcache_ssd_host_bytes_written", fdp.host_bytes_written));
-    samples.push_back(MetricSample::Counter("fdpcache_gc_bg_ticks", telemetry.gc_unit.ticks));
-    samples.push_back(MetricSample::Counter("fdpcache_gc_bg_migrated_pages",
-                                            telemetry.gc_unit.migrated_pages));
-    samples.push_back(MetricSample::Counter("fdpcache_gc_bg_deferred_ticks",
-                                            telemetry.gc_unit.deferred_ticks));
-    samples.push_back(
-        MetricSample::Counter("fdpcache_gc_relocated_pages", telemetry.gc_relocated_pages));
-    samples.push_back(MetricSample::Counter("fdpcache_host_stall_ns", telemetry.host_stall_ns));
-    for (size_t i = 0; i < telemetry.ruh_io.size(); ++i) {
-      samples.push_back(MetricSample::Gauge("fdpcache_ruh_dlwa{ruh=\"" + std::to_string(i) + "\"}",
-                                            telemetry.ruh_io[i].Dlwa()));
-    }
-  }
-  return samples;
 }
 
 }  // namespace fdpcache

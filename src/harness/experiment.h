@@ -28,6 +28,10 @@ namespace fdpcache {
 struct ExperimentConfig {
   // LOC region size of every tenant's cache, and the default lane stripe.
   static constexpr uint64_t kLocRegionSize = 512 * 1024;
+  // NAND geometry of the scaled PM9D3: 8 dies of 2 planes, 32 pages per block.
+  static constexpr uint32_t kPagesPerBlock = 32;
+  static constexpr uint32_t kPlanesPerDie = 2;
+  static constexpr uint32_t kNumDies = 8;
 
   // --- Backend ----------------------------------------------------------------
   DeviceBackend backend = DeviceBackend::kSim;
@@ -43,9 +47,6 @@ struct ExperimentConfig {
   // 2 MiB reclaim units so the device has ~256 RUs: the RU-count:device
   // ratio matters (open-RU stranding must be small relative to OP, as it is
   // on the paper's 313-RU device), not the absolute RU size.
-  uint32_t pages_per_block = 32;
-  uint32_t planes_per_die = 2;
-  uint32_t num_dies = 8;
   uint32_t num_superblocks = 256;  // 256 x 2 MiB = 512 MiB physical.
   double device_op_fraction = 0.10;
   // FDP on: device honours placement directives and CacheLib segregates
@@ -141,11 +142,11 @@ struct ExperimentConfig {
   bool trace_enabled = false;
   uint32_t trace_sample = 1;  // Trace 1 in N requests (fdpbench --trace-sample).
   std::string trace_path;
-  // Live Prometheus exposition (fdpbench --metrics-every / --metrics-out):
-  // interval 0 disables; metrics_path is a snapshot file (empty =
-  // fdpbench_metrics.prom), or a unix-domain socket when prefixed "unix:".
-  // The measured phase publishes a snapshot once per interval (checked
-  // every 256 ops) and a final one after its closing barrier.
+  // Prometheus exposition (fdpbench --metrics-out / --metrics-every): a
+  // snapshot file (empty = fdpbench_metrics.prom), or a unix-domain socket
+  // when prefixed "unix:". Either setting publishes the whole report after
+  // the closing barrier; a nonzero interval adds a snapshot once per interval
+  // of the measured phase (checked every 256 ops).
   uint32_t metrics_interval_ms = 0;
   std::string metrics_path;
 };
@@ -161,6 +162,10 @@ struct MetricsReport {
   double nvm_hit_ratio = 0.0;
   uint64_t gets = 0;
   uint64_t sets = 0;
+  uint64_t ram_hits = 0;
+  uint64_t nvm_lookups = 0;
+  uint64_t nvm_hits = 0;
+  uint64_t misses = 0;
 
   // Performance.
   double throughput_kops = 0.0;
@@ -216,6 +221,14 @@ struct MetricsReport {
   // queue depth the run actually sustained. All zeros at cache_queue_depth 1.
   std::vector<uint64_t> pending_cache_ops;
 
+  // For the live view, as of collection: async cache ops and device requests
+  // in flight, and epoch-reclaim limbo depth (nodes awaiting a safe epoch)
+  // and readers pinning one. The final report follows the closing barrier.
+  uint64_t pending_ops = 0;
+  uint64_t epoch_limbo_nodes = 0;
+  uint64_t epoch_active_readers = 0;
+  uint64_t device_in_flight = 0;
+
   // Flush/reap barriers that reported failure (a failed LOC seal or SOC
   // rewrite surfaced at a warm-up or collection barrier). The affected items
   // degraded to misses; nonzero values mean the run hit device write errors.
@@ -233,7 +246,8 @@ struct MetricsReport {
   // (trace_enabled runs only; `traced` false otherwise).
   bool traced = false;
   obs::TraceBreakdown trace;
-  // Prometheus snapshot files written (0 when disabled or on a socket).
+  // Prometheus snapshot files written, the final one included (0 when
+  // disabled or on a socket).
   uint64_t metrics_snapshots = 0;
 };
 
@@ -247,8 +261,9 @@ class ExperimentRunner {
   explicit ExperimentRunner(const ExperimentConfig& config);
   ~ExperimentRunner();
 
-  // Runs warm-up then the measured phase; returns the collected metrics.
-  // Throws std::runtime_error when the trace JSON cannot be written.
+  // Runs warm-up then the measured phase; returns Collect()'s report taken
+  // after the closing barrier. Throws std::runtime_error when the trace JSON
+  // or a metrics snapshot cannot be written.
   MetricsReport Run();
 
   // Sim backend only; never call on kFile/kUring.
@@ -280,23 +295,33 @@ class ExperimentRunner {
   // warm-up and overwrite-pass progress loops on every backend.
   uint64_t HostBytesWritten() const;
 
-  // The live-exposition samples as of now: cache counters, device and
-  // per-QP/per-lane counters, in-flight depth, epoch limbo depth, GC and
-  // DLWA telemetry. Run() calls it on the op-loop thread, so it reads the
-  // caches between operations, never concurrently with one.
-  std::vector<obs::MetricSample> MetricsSnapshot() const;
+  // Virtual time on the simulator; wall time against real hardware, where the
+  // virtual clock only ticks the modeled host CPU cost.
+  TimeNs Now() const;
+
+  // The report as of now: run_ plus one read of every stats struct of the
+  // stack (caches, engines, device, queue pairs, lanes and SSD). Run() calls
+  // it on the op-loop thread, so it reads the caches between operations,
+  // never concurrently with one: for each live snapshot and once after the
+  // closing barrier for the final report.
+  MetricsReport Collect() const;
 
   ExperimentConfig config_;
   std::unique_ptr<DeviceStack> stack_;
   // Declared after stack_: the caches die before the device they write
   // through.
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  // Set when metrics_interval_ms > 0; built by the constructor, so a bad
-  // metrics_path fails before any run time is spent.
+  // Set when metrics_path is set or metrics_interval_ms > 0; built by the
+  // constructor, so a bad metrics_path fails before any run time is spent.
   std::unique_ptr<obs::MetricsPublisher> publisher_;
   // trace_path, opened by the constructor for the same reason; Run() writes
   // and closes it.
   std::FILE* trace_file_ = nullptr;
+  // The figures Run() produces itself, which Collect() starts from: ops
+  // executed, interval DLWA samples, pending ops before the closing barrier,
+  // flush failures and the trace breakdown.
+  MetricsReport run_;
+  TimeNs measure_start_ = 0;
   uint64_t cache_bytes_per_tenant_ = 0;
   uint64_t ram_bytes_ = 0;
   // Usable capacity the experiment is sized against: the simulated SSD's

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "src/harness/concurrent_replay.h"
 
@@ -236,180 +236,147 @@ std::string FormatTraceBreakdown(const std::string& indent, const obs::TraceBrea
 
 namespace {
 
-// Minimal JSON emission: everything we serialize is numbers, fixed keys, and
-// arrays of those, so no escaping machinery is needed.
-class JsonWriter {
- public:
-  void Key(const std::string& k) {
-    Comma();
-    out_ << '"' << k << "\":";
-    pending_comma_ = false;
-  }
-  void Value(uint64_t v) {
-    Comma();
-    out_ << v;
-    pending_comma_ = true;
-  }
-  void Value(double v) {
-    Comma();
-    // JSON has no NaN/Inf; clamp to null.
-    if (std::isfinite(v)) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", v);
-      out_ << buf;
-    } else {
-      out_ << "null";
-    }
-    pending_comma_ = true;
-  }
-  void Open(char c) { Comma(); out_ << c; pending_comma_ = false; }
-  void Close(char c) { out_ << c; pending_comma_ = true; }
-  std::string str() const { return out_.str(); }
-
- private:
-  void Comma() {
-    if (pending_comma_) {
-      out_ << ',';
-    }
-  }
-  std::ostringstream out_;
-  bool pending_comma_ = false;
-};
+// The label set of one element of a per-QP, per-lane, per-RUH, ... array.
+std::string IndexLabel(const char* key, size_t index) {
+  return std::string("{") + key + "=\"" + std::to_string(index) + "\"}";
+}
 
 }  // namespace
 
-std::string MetricsReportToJson(const MetricsReport& r) {
-  JsonWriter w;
-  w.Open('{');
-  const auto num = [&](const char* key, uint64_t v) { w.Key(key); w.Value(v); };
-  const auto dbl = [&](const char* key, double v) { w.Key(key); w.Value(v); };
-
-  dbl("final_dlwa", r.final_dlwa);
-  dbl("alwa", r.alwa);
-  dbl("hit_ratio", r.hit_ratio);
-  dbl("nvm_hit_ratio", r.nvm_hit_ratio);
-  num("gets", r.gets);
-  num("sets", r.sets);
-  dbl("throughput_kops", r.throughput_kops);
-  num("p50_read_ns", r.p50_read_ns);
-  num("p99_read_ns", r.p99_read_ns);
-  num("p999_read_ns", r.p999_read_ns);
-  num("p50_write_ns", r.p50_write_ns);
-  num("p99_write_ns", r.p99_write_ns);
-  num("p999_write_ns", r.p999_write_ns);
-  num("gc_events", r.gc_events);
-  num("gc_relocated_pages", r.gc_relocated_pages);
-  num("clean_ru_erases", r.clean_ru_erases);
-  num("host_bytes_written", r.host_bytes_written);
-  dbl("op_energy_uj", r.op_energy_uj);
-  dbl("total_energy_uj", r.total_energy_uj);
-  dbl("wear_max_pe", r.wear_max_pe);
-  num("gc_bg_ticks", r.gc_bg_ticks);
-  num("gc_bg_migrated_pages", r.gc_bg_migrated_pages);
-  num("gc_bg_erases", r.gc_bg_erases);
-  num("gc_bg_deferred_ticks", r.gc_bg_deferred_ticks);
-  num("gc_bg_abandoned", r.gc_bg_abandoned);
-  num("erase_suspensions", r.erase_suspensions);
-  num("host_stall_ns", r.host_stall_ns);
-  num("gc_die_ns", r.gc_die_ns);
-  dbl("overwrite_passes_done", r.overwrite_passes_done);
-  num("device_page_bytes", r.device_page_bytes);
-  dbl("soc_write_share", r.soc_write_share);
-  num("flush_failures", r.flush_failures);
-  num("elapsed_virtual_ns", r.elapsed_virtual_ns);
-  num("ops_executed", r.ops_executed);
-  num("verify_failures", r.verify_failures);
-  num("cache_bytes", r.cache_bytes);
-  num("ram_bytes", r.ram_bytes);
-  num("device_physical_bytes", r.device_physical_bytes);
-  num("metrics_snapshots", r.metrics_snapshots);
-
-  const auto array_of_doubles = [&](const char* key, const std::vector<double>& v) {
-    w.Key(key);
-    w.Open('[');
-    for (const double x : v) {
-      w.Value(x);
-    }
-    w.Close(']');
+std::vector<obs::MetricSample> ReportSamples(const MetricsReport& r) {
+  std::vector<obs::MetricSample> out;
+  const auto counter = [&out](std::string name, uint64_t v) {
+    out.push_back(obs::MetricSample::Counter(std::move(name), v));
   };
-  array_of_doubles("interval_dlwa", r.interval_dlwa);
-  array_of_doubles("per_ruh_dlwa", r.per_ruh_dlwa);
-  w.Key("per_die_busy_ns");
-  w.Open('[');
-  for (const uint64_t v : r.per_die_busy_ns) {
-    w.Value(v);
-  }
-  w.Close(']');
-  w.Key("pending_cache_ops");
-  w.Open('[');
-  for (const uint64_t v : r.pending_cache_ops) {
-    w.Value(v);
-  }
-  w.Close(']');
+  const auto gauge = [&out](std::string name, double v) {
+    out.push_back(obs::MetricSample::Gauge(std::move(name), v));
+  };
+  // A percentile is a gauge labelled the way a Prometheus summary labels its
+  // quantiles, after the element's own label, if any.
+  const auto quantile = [&gauge](const std::string& family, const char* q, uint64_t v,
+                                 const std::string& element = "") {
+    const std::string head = element.empty() ? "{" : element.substr(0, element.size() - 1) + ",";
+    gauge(family + head + "quantile=\"" + q + "\"}", static_cast<double>(v));
+  };
 
-  w.Key("queue_pairs");
-  w.Open('[');
+  counter("fdpcache_cache_gets", r.gets);
+  counter("fdpcache_cache_sets", r.sets);
+  counter("fdpcache_cache_ram_hits", r.ram_hits);
+  counter("fdpcache_cache_nvm_lookups", r.nvm_lookups);
+  counter("fdpcache_cache_nvm_hits", r.nvm_hits);
+  counter("fdpcache_cache_misses", r.misses);
+  gauge("fdpcache_cache_hit_ratio", r.hit_ratio);
+  gauge("fdpcache_cache_nvm_hit_ratio", r.nvm_hit_ratio);
+  gauge("fdpcache_cache_alwa", r.alwa);
+  gauge("fdpcache_cache_soc_write_share", r.soc_write_share);
+  gauge("fdpcache_cache_flash_bytes", static_cast<double>(r.cache_bytes));
+  gauge("fdpcache_cache_ram_bytes", static_cast<double>(r.ram_bytes));
+  gauge("fdpcache_cache_pending_ops", static_cast<double>(r.pending_ops));
+  for (size_t i = 0; i < r.pending_cache_ops.size(); ++i) {
+    gauge("fdpcache_tenant_pending_ops" + IndexLabel("tenant", i),
+          static_cast<double>(r.pending_cache_ops[i]));
+  }
+  gauge("fdpcache_epoch_limbo_nodes", static_cast<double>(r.epoch_limbo_nodes));
+  gauge("fdpcache_epoch_active_readers", static_cast<double>(r.epoch_active_readers));
+
+  DeviceStats device;
   for (const QueuePairStats& qp : r.device_queue_pairs) {
-    w.Open('{');
-    w.Key("reads"); w.Value(qp.reads);
-    w.Key("writes"); w.Value(qp.writes);
-    w.Key("read_bytes"); w.Value(qp.read_bytes);
-    w.Key("write_bytes"); w.Value(qp.write_bytes);
-    w.Key("dispatched"); w.Value(qp.dispatched);
-    w.Key("admission_waits"); w.Value(qp.admission_waits);
-    w.Key("conflict_defers"); w.Value(qp.conflict_defers);
-    w.Key("io_errors"); w.Value(qp.io_errors);
-    w.Key("p50_read_ns"); w.Value(qp.read_latency_ns.Percentile(50.0));
-    w.Key("p99_read_ns"); w.Value(qp.read_latency_ns.Percentile(99.0));
-    w.Key("p50_write_ns"); w.Value(qp.write_latency_ns.Percentile(50.0));
-    w.Key("p99_write_ns"); w.Value(qp.write_latency_ns.Percentile(99.0));
-    w.Key("p50_qd"); w.Value(qp.queue_depth.Percentile(50.0));
-    w.Key("max_qd"); w.Value(qp.queue_depth.Max());
-    w.Close('}');
+    device.Merge(qp);
   }
-  w.Close(']');
-
-  w.Key("lanes");
-  w.Open('[');
-  for (const LaneStats& lane : r.device_lanes) {
-    w.Open('{');
-    w.Key("dispatches"); w.Value(lane.dispatches);
-    w.Key("conflict_waits"); w.Value(lane.conflict_waits);
-    w.Key("busy_ns"); w.Value(lane.busy_ns);
-    w.Key("p50_qd"); w.Value(lane.queue_depth.Percentile(50.0));
-    w.Key("max_qd"); w.Value(lane.queue_depth.Max());
-    w.Close('}');
+  counter("fdpcache_device_reads", device.reads);
+  counter("fdpcache_device_writes", device.writes);
+  counter("fdpcache_device_read_bytes", device.read_bytes);
+  counter("fdpcache_device_write_bytes", device.write_bytes);
+  gauge("fdpcache_device_in_flight", static_cast<double>(r.device_in_flight));
+  gauge("fdpcache_device_page_bytes", static_cast<double>(r.device_page_bytes));
+  gauge("fdpcache_device_physical_bytes", static_cast<double>(r.device_physical_bytes));
+  quantile("fdpcache_device_read_latency_ns", "0.5", r.p50_read_ns);
+  quantile("fdpcache_device_read_latency_ns", "0.99", r.p99_read_ns);
+  quantile("fdpcache_device_read_latency_ns", "0.999", r.p999_read_ns);
+  quantile("fdpcache_device_write_latency_ns", "0.5", r.p50_write_ns);
+  quantile("fdpcache_device_write_latency_ns", "0.99", r.p99_write_ns);
+  quantile("fdpcache_device_write_latency_ns", "0.999", r.p999_write_ns);
+  for (size_t i = 0; i < r.device_queue_pairs.size(); ++i) {
+    const QueuePairStats& qp = r.device_queue_pairs[i];
+    const std::string l = IndexLabel("qp", i);
+    counter("fdpcache_qp_reads" + l, qp.reads);
+    counter("fdpcache_qp_writes" + l, qp.writes);
+    counter("fdpcache_qp_read_bytes" + l, qp.read_bytes);
+    counter("fdpcache_qp_write_bytes" + l, qp.write_bytes);
+    counter("fdpcache_qp_dispatched" + l, qp.dispatched);
+    // Submissions that parked on the congestion window = window stalls.
+    counter("fdpcache_qp_window_stalls" + l, qp.admission_waits);
+    counter("fdpcache_qp_conflict_defers" + l, qp.conflict_defers);
+    counter("fdpcache_qp_io_errors" + l, qp.io_errors);
+    quantile("fdpcache_qp_read_latency_ns", "0.5", qp.read_latency_ns.Percentile(50.0), l);
+    quantile("fdpcache_qp_read_latency_ns", "0.99", qp.read_latency_ns.Percentile(99.0), l);
+    quantile("fdpcache_qp_write_latency_ns", "0.5", qp.write_latency_ns.Percentile(50.0), l);
+    quantile("fdpcache_qp_write_latency_ns", "0.99", qp.write_latency_ns.Percentile(99.0), l);
+    quantile("fdpcache_qp_depth", "0.5", qp.queue_depth.Percentile(50.0), l);
+    gauge("fdpcache_qp_max_depth" + l, static_cast<double>(qp.queue_depth.Max()));
   }
-  w.Close(']');
+  for (size_t i = 0; i < r.device_lanes.size(); ++i) {
+    const LaneStats& lane = r.device_lanes[i];
+    const std::string l = IndexLabel("lane", i);
+    counter("fdpcache_lane_dispatches" + l, lane.dispatches);
+    counter("fdpcache_lane_conflict_waits" + l, lane.conflict_waits);
+    counter("fdpcache_lane_busy_ns" + l, lane.busy_ns);
+    quantile("fdpcache_lane_depth", "0.5", lane.queue_depth.Percentile(50.0), l);
+    gauge("fdpcache_lane_max_depth" + l, static_cast<double>(lane.queue_depth.Max()));
+  }
 
-  w.Key("traced");
-  w.Open('{');
-  w.Key("enabled"); w.Value(static_cast<uint64_t>(r.traced ? 1 : 0));
+  gauge("fdpcache_ssd_dlwa", r.final_dlwa);
+  counter("fdpcache_ssd_host_bytes_written", r.host_bytes_written);
+  counter("fdpcache_ssd_gc_events", r.gc_events);
+  counter("fdpcache_ssd_clean_ru_erases", r.clean_ru_erases);
+  gauge("fdpcache_ssd_op_energy_uj", r.op_energy_uj);
+  gauge("fdpcache_ssd_total_energy_uj", r.total_energy_uj);
+  gauge("fdpcache_ssd_wear_max_pe", r.wear_max_pe);
+  for (size_t i = 0; i < r.interval_dlwa.size(); ++i) {
+    gauge("fdpcache_ssd_interval_dlwa" + IndexLabel("sample", i), r.interval_dlwa[i]);
+  }
+  for (size_t i = 0; i < r.per_ruh_dlwa.size(); ++i) {
+    gauge("fdpcache_ruh_dlwa" + IndexLabel("ruh", i), r.per_ruh_dlwa[i]);
+  }
+  for (size_t i = 0; i < r.per_die_busy_ns.size(); ++i) {
+    counter("fdpcache_die_busy_ns" + IndexLabel("die", i), r.per_die_busy_ns[i]);
+  }
+  counter("fdpcache_gc_relocated_pages", r.gc_relocated_pages);
+  counter("fdpcache_gc_bg_ticks", r.gc_bg_ticks);
+  counter("fdpcache_gc_bg_migrated_pages", r.gc_bg_migrated_pages);
+  counter("fdpcache_gc_bg_erases", r.gc_bg_erases);
+  counter("fdpcache_gc_bg_deferred_ticks", r.gc_bg_deferred_ticks);
+  counter("fdpcache_gc_bg_abandoned", r.gc_bg_abandoned);
+  counter("fdpcache_gc_erase_suspensions", r.erase_suspensions);
+  counter("fdpcache_gc_die_ns", r.gc_die_ns);
+  counter("fdpcache_host_stall_ns", r.host_stall_ns);
+
+  counter("fdpcache_run_ops", r.ops_executed);
+  counter("fdpcache_run_elapsed_ns", r.elapsed_virtual_ns);
+  gauge("fdpcache_run_throughput_kops", r.throughput_kops);
+  gauge("fdpcache_run_overwrite_passes", r.overwrite_passes_done);
+  counter("fdpcache_run_flush_failures", r.flush_failures);
+  counter("fdpcache_run_verify_failures", r.verify_failures);
+
   if (r.traced) {
-    w.Key("requests"); w.Value(r.trace.requests);
-    w.Key("events"); w.Value(r.trace.events);
-    w.Key("dropped"); w.Value(r.trace.dropped);
-    w.Key("total_request_ns"); w.Value(r.trace.total_request_ns);
-    w.Key("attributed_ns"); w.Value(r.trace.attributed_ns);
-    w.Key("unattributed_ns"); w.Value(r.trace.unattributed_ns);
-    w.Key("request_p50_ns"); w.Value(r.trace.request_p50_ns);
-    w.Key("stages");
-    w.Open('{');
+    const obs::TraceBreakdown& t = r.trace;
+    counter("fdpcache_trace_requests", t.requests);
+    counter("fdpcache_trace_events", t.events);
+    counter("fdpcache_trace_dropped_events", t.dropped);
+    counter("fdpcache_trace_request_ns", t.total_request_ns);
+    counter("fdpcache_trace_attributed_ns", t.attributed_ns);
+    counter("fdpcache_trace_unattributed_ns", t.unattributed_ns);
+    quantile("fdpcache_trace_request_latency_ns", "0.5", t.request_p50_ns);
     for (size_t i = 0; i < obs::kNumTraceStages; ++i) {
-      const obs::TraceStageBreakdown& row = r.trace.stages[i];
-      w.Key(obs::TraceStageName(static_cast<obs::TraceStage>(i)));
-      w.Open('{');
-      w.Key("spans"); w.Value(row.spans);
-      w.Key("raw_ns"); w.Value(row.raw_ns);
-      w.Key("exclusive_ns"); w.Value(row.exclusive_ns);
-      w.Close('}');
+      const obs::TraceStageBreakdown& row = t.stages[i];
+      const std::string l = std::string("{stage=\"") +
+                            obs::TraceStageName(static_cast<obs::TraceStage>(i)) + "\"}";
+      counter("fdpcache_trace_stage_spans" + l, row.spans);
+      counter("fdpcache_trace_stage_raw_ns" + l, row.raw_ns);
+      counter("fdpcache_trace_stage_exclusive_ns" + l, row.exclusive_ns);
     }
-    w.Close('}');
   }
-  w.Close('}');
-
-  w.Close('}');
-  return w.str() + "\n";
+  return out;
 }
 
 double BenchScale() {

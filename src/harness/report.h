@@ -1,5 +1,6 @@
 // Formatting helpers for bench output: aligned text tables and compact
-// DLWA series, so every bench binary prints paper-shaped results uniformly.
+// DLWA series, so every bench binary prints paper-shaped results uniformly;
+// and the report's Prometheus samples.
 #ifndef SRC_HARNESS_REPORT_H_
 #define SRC_HARNESS_REPORT_H_
 
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "src/harness/experiment.h"
+#include "src/obs/metrics.h"
 
 namespace fdpcache {
 
@@ -80,11 +82,10 @@ std::string FormatPendingOps(const std::string& indent,
 // no requests.
 std::string FormatTraceBreakdown(const std::string& indent, const obs::TraceBreakdown& trace);
 
-// Serializes the full MetricsReport as a JSON object (fdpbench --stats-json):
-// every scalar, the DLWA series, per-RUH DLWA, per-die busy time, pending
-// cache ops, per-QP and per-lane breakdowns, and the trace attribution table
-// when the run was traced.
-std::string MetricsReportToJson(const MetricsReport& report);
+// Every figure of the report as Prometheus samples: the one place that names
+// them (README "Metrics exposition" lists each). Trace samples appear only
+// when the run was traced; metrics_snapshots has no sample.
+std::vector<obs::MetricSample> ReportSamples(const MetricsReport& report);
 
 // Reads FDPBENCH_SCALE from the environment (a number in [0.1, 10], 1.0 when
 // unset): benches multiply op counts by it so users can trade speed for

@@ -53,7 +53,13 @@ std::string RenderPrometheus(std::vector<MetricSample> samples) {
 }
 
 MetricsPublisher::MetricsPublisher(const std::string& target) {
+  struct stat st {};
   if (target.rfind("unix:", 0) != 0) {
+    // Each snapshot is renamed over the target, which would replace a FIFO
+    // or a device node with a regular file.
+    if (::lstat(target.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+      Fail(target, "refusing to replace a file that is not a regular file", 0);
+    }
     // Prove now, before any run time is spent, that the snapshot can land.
     file_path_ = target;
     const std::string tmp = file_path_ + ".tmp";
@@ -72,7 +78,6 @@ MetricsPublisher::MetricsPublisher(const std::string& target) {
          "the socket path must be 1 to " + std::to_string(sizeof(addr.sun_path) - 1) + " bytes",
          0);
   }
-  struct stat st {};
   if (::lstat(socket_path_.c_str(), &st) == 0) {
     if (!S_ISSOCK(st.st_mode)) {
       Fail(target, "refusing to replace a file that is not a socket", 0);

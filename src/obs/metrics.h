@@ -1,11 +1,12 @@
-// Live Prometheus exposition: a text renderer and a passive publisher.
+// Prometheus exposition: a text renderer and a passive publisher.
 //
 // The stats structs each layer already keeps (HybridCacheStats, DeviceStats,
 // QueuePairStats, LaneStats, SsdTelemetry) are the one store. An owner that
-// can read them safely — ExperimentRunner, on the thread that drives its
-// caches — copies them into a vector of MetricSample, renders that with
-// RenderPrometheus() and hands the text to MetricsPublisher::Publish().
-// Nothing here runs on a thread of its own.
+// can read them safely — ExperimentRunner::Collect(), on the thread that
+// drives its caches — copies them into a MetricsReport; ReportSamples()
+// (src/harness/report.h) turns that into a vector of MetricSample,
+// RenderPrometheus() renders it and MetricsPublisher::Publish() hands the
+// text on. Nothing here runs on a thread of its own.
 //
 // Naming convention (see README "Observability"): families are
 // `fdpcache_<layer>_<metric>` with Prometheus labels embedded directly in
@@ -49,8 +50,9 @@ std::string RenderPrometheus(std::vector<MetricSample> samples);
 // the snapshot and closes (`curl --unix-socket <path> http://x/`).
 class MetricsPublisher {
  public:
-  // Throws std::runtime_error when the target cannot be published to: the
-  // snapshot's .tmp file cannot be created, the socket path does not fit
+  // Throws std::runtime_error when the target cannot be published to:
+  // something other than a regular file already sits at the snapshot path,
+  // its .tmp file cannot be created, the socket path does not fit
   // sockaddr_un, something other than a socket already sits at it, or bind
   // or listen fails.
   explicit MetricsPublisher(const std::string& target);

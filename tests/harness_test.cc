@@ -218,7 +218,7 @@ TEST(HarnessTest, ExecLanesKnobKeepsResultsHealthyAndSurfacesLaneAndDieStats) {
   EXPECT_EQ(lane_dispatches, qp_dispatches);
 
   // Per-die busy telemetry rode along for the lane-vs-die cross-check.
-  ASSERT_EQ(report.per_die_busy_ns.size(), config.num_dies);
+  ASSERT_EQ(report.per_die_busy_ns.size(), ExperimentConfig::kNumDies);
   uint64_t die_busy = 0;
   for (const uint64_t busy : report.per_die_busy_ns) {
     die_busy += busy;
@@ -328,9 +328,9 @@ TEST(HarnessTest, FailedBackingOpenRemovesItsTempFile) {
   config.backend = DeviceBackend::kFile;
   config.num_superblocks = 100'000'000;  // ~188 TB: past ext4's file-size limit.
   NandGeometry geometry;
-  geometry.pages_per_block = config.pages_per_block;
-  geometry.planes_per_die = config.planes_per_die;
-  geometry.num_dies = config.num_dies;
+  geometry.pages_per_block = ExperimentConfig::kPagesPerBlock;
+  geometry.planes_per_die = ExperimentConfig::kPlanesPerDie;
+  geometry.num_dies = ExperimentConfig::kNumDies;
   geometry.num_superblocks = config.num_superblocks;
   const uint64_t backing_bytes =
       Ftl::LogicalPages(geometry, config.device_op_fraction) * geometry.page_size_bytes;
@@ -371,26 +371,84 @@ std::map<std::string, double> ReadPrometheusSnapshot(const std::string& path) {
   return samples;
 }
 
-// The live exposition's last snapshot covers the whole measured phase, so
-// it must agree with the final report figure for figure.
+size_t CountFamily(const std::map<std::string, double>& samples, const std::string& family) {
+  size_t n = 0;
+  for (const auto& [name, value] : samples) {
+    n += name.substr(0, name.find('{')) == family;
+  }
+  return n;
+}
+
+// The final snapshot is rendered from the report Run() returns, after the
+// closing barrier, so every group of the report appears in it figure for
+// figure: cache, device, per-QP, per-lane, per-die, per-tenant and trace.
 TEST(HarnessTest, LiveMetricsFinalSnapshotMatchesReport) {
   const std::string path = ::testing::TempDir() + "harness_live_metrics.prom";
   std::remove(path.c_str());
   ExperimentConfig config;
   config.num_superblocks = 64;
   config.total_ops = 30'000;
+  config.queue_depth = 8;
+  config.cache_queue_depth = 4;
+  config.queue_pairs = 2;
+  config.exec_lanes = 2;
+  config.trace_enabled = true;
   config.metrics_interval_ms = 20;
   config.metrics_path = path;
   const MetricsReport report = ExperimentRunner(config).Run();
 
   const std::map<std::string, double> samples = ReadPrometheusSnapshot(path);
-  EXPECT_EQ(samples.at("fdpcache_cache_gets"), static_cast<double>(report.gets));
-  EXPECT_EQ(samples.at("fdpcache_cache_sets"), static_cast<double>(report.sets));
+  const auto as_double = [](uint64_t v) { return static_cast<double>(v); };
+  EXPECT_EQ(samples.at("fdpcache_cache_gets"), as_double(report.gets));
+  EXPECT_EQ(samples.at("fdpcache_cache_sets"), as_double(report.sets));
   EXPECT_EQ(samples.at("fdpcache_ssd_dlwa"), report.final_dlwa);
-  ASSERT_FALSE(report.device_queue_pairs.empty());
+  EXPECT_EQ(samples.at("fdpcache_device_read_latency_ns{quantile=\"0.99\"}"),
+            as_double(report.p99_read_ns));
+  EXPECT_EQ(samples.at("fdpcache_device_write_latency_ns{quantile=\"0.99\"}"),
+            as_double(report.p99_write_ns));
+  EXPECT_EQ(samples.at("fdpcache_cache_alwa"), report.alwa);
+  EXPECT_EQ(samples.at("fdpcache_cache_soc_write_share"), report.soc_write_share);
+  ASSERT_FALSE(report.interval_dlwa.empty());
+  EXPECT_EQ(CountFamily(samples, "fdpcache_ssd_interval_dlwa"), report.interval_dlwa.size());
+  ASSERT_EQ(report.device_queue_pairs.size(), 2u);
   EXPECT_EQ(samples.at("fdpcache_qp_writes{qp=\"0\"}"),
-            static_cast<double>(report.device_queue_pairs[0].writes));
+            as_double(report.device_queue_pairs[0].writes));
+  EXPECT_EQ(samples.at("fdpcache_qp_read_bytes{qp=\"1\"}"),
+            as_double(report.device_queue_pairs[1].read_bytes));
+  ASSERT_EQ(report.device_lanes.size(), 2u);
+  EXPECT_EQ(samples.at("fdpcache_lane_depth{lane=\"1\",quantile=\"0.5\"}"),
+            as_double(report.device_lanes[1].queue_depth.Percentile(50.0)));
+  ASSERT_EQ(report.per_die_busy_ns.size(), ExperimentConfig::kNumDies);
+  EXPECT_EQ(samples.at("fdpcache_die_busy_ns{die=\"7\"}"), as_double(report.per_die_busy_ns[7]));
+  ASSERT_EQ(report.pending_cache_ops.size(), 1u);
+  EXPECT_EQ(samples.at("fdpcache_tenant_pending_ops{tenant=\"0\"}"),
+            as_double(report.pending_cache_ops[0]));
+  // Exclusive attribution: stage time plus unattributed time is the total
+  // request time, exactly (every value is far below 2^53, so exact here too).
+  ASSERT_TRUE(report.traced);
+  ASSERT_GT(report.trace.requests, 0u);
+  EXPECT_EQ(samples.at("fdpcache_trace_request_ns"), as_double(report.trace.total_request_ns));
+  EXPECT_EQ(samples.at("fdpcache_trace_attributed_ns") +
+                samples.at("fdpcache_trace_unattributed_ns"),
+            samples.at("fdpcache_trace_request_ns"));
   EXPECT_GE(report.metrics_snapshots, 1u);
+  std::remove(path.c_str());
+}
+
+// A target without an interval gets the final snapshot only; an untraced
+// run's snapshot has no trace samples.
+TEST(HarnessTest, MetricsPathWithoutIntervalWritesOneFinalSnapshot) {
+  const std::string path = ::testing::TempDir() + "harness_final_metrics.prom";
+  std::remove(path.c_str());
+  ExperimentConfig config;
+  config.num_superblocks = 64;
+  config.total_ops = 5'000;
+  config.metrics_path = path;
+  const MetricsReport report = ExperimentRunner(config).Run();
+  EXPECT_EQ(report.metrics_snapshots, 1u);
+  const std::map<std::string, double> samples = ReadPrometheusSnapshot(path);
+  EXPECT_EQ(samples.at("fdpcache_run_ops"), static_cast<double>(report.ops_executed));
+  EXPECT_EQ(CountFamily(samples, "fdpcache_trace_requests"), 0u);
   std::remove(path.c_str());
 }
 

@@ -1,15 +1,18 @@
-// Live exposition tests (src/obs/metrics.h): the Prometheus text renderer
-// (name order, one # TYPE line per family, integer counters, round-tripping
-// gauges) and the passive publisher (atomic file snapshots, answering
-// pending unix-socket clients, replacing only stale sockets).
+// Exposition tests (src/obs/metrics.h): the Prometheus text renderer (name
+// order, one # TYPE line per family, integer counters, round-tripping
+// gauges) and the passive publisher (atomic file snapshots that never
+// replace anything but a regular file, answering pending unix-socket
+// clients, replacing only stale sockets).
 #include "src/obs/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -71,6 +74,20 @@ TEST(MetricsPublisherTest, RewritesTheSnapshotFileWhole) {
   EXPECT_EQ(ReadFile(path), "fdpcache_snapshot 2\n");
   EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
   std::remove(path.c_str());
+}
+
+// Each snapshot is renamed over the target, which would turn a FIFO (or a
+// device node) into a regular file.
+TEST(MetricsPublisherTest, RefusesATargetThatIsNotARegularFile) {
+  const std::string path = ::testing::TempDir() + "metrics_publisher_test.fifo";
+  ::unlink(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  EXPECT_THROW(MetricsPublisher{path}, std::runtime_error);
+  struct stat st {};
+  ASSERT_EQ(::lstat(path.c_str(), &st), 0) << path << " was removed";
+  EXPECT_TRUE(S_ISFIFO(st.st_mode)) << path << " was replaced";
+  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+  ::unlink(path.c_str());
 }
 
 int ConnectTo(const std::string& path) {

@@ -1,19 +1,15 @@
 // fdpbench: the CacheBench-analogue driver for this repository. Runs a
 // configurable deployment (workload x utilization x FDP on/off x tenants)
-// and prints the full metrics report, optionally as CSV for scripting. A
+// and prints the metrics report, as text, CSV or a Prometheus snapshot. A
 // malformed or unknown flag exits 2 before the run starts.
 //
 // Examples:
 //   fdpbench --workload=kvcache --utilization=1.0 --fdp=false
 //   fdpbench --workload=twitter --tenants=2 --ops=500000 --csv
 //   fdpbench --workload=wokv --soc=0.16 --op=0.07 --superblocks=512
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -84,13 +80,12 @@ void PrintUsage() {
       "                                    time metrics are identical with --trace off\n"
       "  --trace-sample=N                  trace 1 in N requests (also accepts 1/N;\n"
       "                                    default 1 = every request)\n"
-      "  --metrics-every=1s                live Prometheus exposition interval: N, Nms\n"
-      "                                    (both milliseconds) or Ns; 0/absent = off\n"
-      "  --metrics-out=path                snapshot file for --metrics-every (default\n"
-      "                                    fdpbench_metrics.prom), or unix:<path> to\n"
-      "                                    serve snapshots on a unix-domain socket\n"
-      "  --stats-json=path                 dump the final metrics report (incl. per-QP/\n"
-      "                                    lane breakdowns and the trace table) as JSON\n");
+      "  --metrics-every=1s                live Prometheus snapshot interval: N, Nms\n"
+      "                                    (both milliseconds) or Ns; 0/absent = none\n"
+      "  --metrics-out=path                snapshot file (default fdpbench_metrics.prom):\n"
+      "                                    the whole final report, plus --metrics-every's\n"
+      "                                    live ones; or unix:<path> to serve them on a\n"
+      "                                    unix-domain socket\n");
 }
 
 int Run(int argc, char** argv) {
@@ -195,7 +190,6 @@ int Run(int argc, char** argv) {
     flags.Fail("metrics-every", every, "want <number>, <number>ms or <number>s");
   }
   config.metrics_path = flags.GetString("metrics-out", "");
-  const std::string stats_json = flags.GetString("stats-json", "");
   const bool csv = flags.GetBool("csv", false);
   // Every flag has been read: refuse a malformed or unknown one before any
   // run time is spent.
@@ -204,47 +198,18 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  // Provisioning failures (e.g. tenants that do not fit the device), a
-  // live-metrics file that cannot be written and a trace file that cannot be
-  // opened or written throw; report them as a usage error rather than
-  // crashing.
+  // Provisioning failures (e.g. tenants that do not fit the device), an
+  // output target that cannot be opened or published to, and a snapshot or
+  // trace that cannot be written throw; report them as a usage error rather
+  // than crashing.
   std::unique_ptr<ExperimentRunner> runner;
-  std::FILE* stats_file = nullptr;
   MetricsReport r;
   try {
     runner = std::make_unique<ExperimentRunner>(config);
-    // Open the JSON dump before the warm-up, so an unwritable path costs no
-    // run time, and after provisioning, so a deployment that does not fit
-    // leaves no empty file behind.
-    if (!stats_json.empty() && (stats_file = std::fopen(stats_json.c_str(), "w")) == nullptr) {
-      std::fprintf(stderr, "fdpbench: cannot open --stats-json=%s\n", stats_json.c_str());
-      return 2;
-    }
     r = runner->Run();
   } catch (const std::exception& e) {
-    if (stats_file != nullptr) {
-      std::fclose(stats_file);
-      // Only a regular file is removed: the path may name a device node
-      // (say /dev/null), which must survive a failed run.
-      struct stat st {};
-      if (::lstat(stats_json.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
-        std::remove(stats_json.c_str());
-      }
-    }
     std::fprintf(stderr, "fdpbench: %s\n", e.what());
     return 2;
-  }
-
-  // The JSON dump is written in both text and CSV modes; it touches only the
-  // named file, so CSV stdout stays byte-identical to an un-flagged run.
-  if (stats_file != nullptr) {
-    const std::string json = MetricsReportToJson(r);
-    const bool written = std::fwrite(json.data(), 1, json.size(), stats_file) == json.size();
-    if (std::fclose(stats_file) != 0 || !written) {
-      std::fprintf(stderr, "fdpbench: cannot write --stats-json=%s: %s\n", stats_json.c_str(),
-                   std::strerror(errno));
-      return 2;
-    }
   }
 
   if (csv) {
@@ -317,9 +282,10 @@ int Run(int argc, char** argv) {
                 FormatTraceBreakdown("  ", r.trace).c_str());
   }
   if (r.metrics_snapshots != 0) {
-    std::printf("metrics exposition: %llu snapshot(s) every %ums -> %s\n",
+    const std::string every = " every " + std::to_string(config.metrics_interval_ms) + "ms";
+    std::printf("metrics exposition: %llu snapshot(s)%s -> %s\n",
                 static_cast<unsigned long long>(r.metrics_snapshots),
-                config.metrics_interval_ms,
+                config.metrics_interval_ms != 0 ? every.c_str() : "",
                 config.metrics_path.empty() ? "fdpbench_metrics.prom"
                                             : config.metrics_path.c_str());
   }
