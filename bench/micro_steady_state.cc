@@ -125,10 +125,11 @@ int main() {
   }
   std::printf("%s\n", table.ToString().c_str());
   for (const SteadyRow& row : rows) {
-    const std::string gc_section = FormatGcStats("  ", row.report);
-    if (!gc_section.empty()) {
-      std::printf("%s GC detail:\n%s", row.label.c_str(), gc_section.c_str());
-    }
+    const std::vector<obs::MetricSample> samples = ReportSamples(row.report);
+    std::printf("%s GC detail:\n%s%s%s", row.label.c_str(),
+                obs::RenderText(samples, "fdpcache_gc_").c_str(),
+                obs::RenderText(samples, "fdpcache_host_").c_str(),
+                obs::RenderText(samples, "fdpcache_ruh_").c_str());
   }
   std::printf("\n");
 

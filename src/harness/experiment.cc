@@ -46,13 +46,19 @@ double AvgItemBytes(const KvWorkloadConfig& w) {
 }  // namespace
 
 ExperimentRunner::ExperimentRunner(const ExperimentConfig& config) : config_(config) {
-  // Negated so that a NaN utilization fails the check too.
+  // Negated so that a NaN fails each check. A SOC share above 1 would wrap
+  // the LOC's size; overprovisioning of 1 or more leaves no logical capacity.
+  std::ostringstream msg;
   if (config_.num_tenants == 0 || !(config_.utilization > 0.0 && config_.utilization <= 1.0)) {
-    std::ostringstream msg;
-    msg << "ExperimentRunner: cannot provision " << config_.num_tenants
-        << " tenant(s) at utilization " << config_.utilization
-        << "; need at least one tenant and a utilization in (0, 1]";
-    throw std::runtime_error(msg.str());
+    msg << "cannot provision " << config_.num_tenants << " tenant(s) at utilization "
+        << config_.utilization << "; need at least one tenant and a utilization in (0, 1]";
+  } else if (!(config_.soc_fraction >= 0.0 && config_.soc_fraction <= 1.0)) {
+    msg << "soc_fraction " << config_.soc_fraction << " is outside [0, 1]";
+  } else if (!(config_.device_op_fraction >= 0.0 && config_.device_op_fraction < 1.0)) {
+    msg << "device_op_fraction " << config_.device_op_fraction << " is outside [0, 1)";
+  }
+  if (!msg.str().empty()) {
+    throw std::runtime_error("ExperimentRunner: " + msg.str());
   }
   DeviceStackConfig stack;
   stack.backend = config_.backend;
@@ -306,6 +312,13 @@ void ExperimentRunner::ExecuteOp(Tenant& tenant, const Op& op) {
 
 MetricsReport ExperimentRunner::Run() {
   SimulatedSsd* ssd = stack_->ssd();
+  // One round: the next op of each tenant, in tenant order.
+  const auto run_round = [this] {
+    for (auto& tenant : tenants_) {
+      ExecuteOp(*tenant, *tenant->generator->Next());
+    }
+    return tenants_.size();
+  };
 
   // --- Warm-up: fill the flash cache, then reset statistics -----------------
   const uint64_t warmup_bytes = static_cast<uint64_t>(
@@ -313,11 +326,7 @@ MetricsReport ExperimentRunner::Run() {
       static_cast<double>(cache_bytes_per_tenant_ * config_.num_tenants));
   uint64_t warmup_ops = 0;
   while (HostBytesWritten() < warmup_bytes && warmup_ops < config_.max_warmup_ops) {
-    for (auto& tenant : tenants_) {
-      const auto op = tenant->generator->Next();
-      ExecuteOp(*tenant, *op);
-      ++warmup_ops;
-    }
+    warmup_ops += run_round();
   }
   // At queue_depth > 1 the engines may still hold in-flight warm-up writes;
   // retire them before the reset so the measured phase starts quiescent.
@@ -380,11 +389,7 @@ MetricsReport ExperimentRunner::Run() {
     uint64_t next_sample_bytes = sample_stride;
     uint64_t written = 0;
     while (written < target_bytes && executed < config_.max_steady_ops) {
-      for (auto& tenant : tenants_) {
-        const auto op = tenant->generator->Next();
-        ExecuteOp(*tenant, *op);
-        ++executed;
-      }
+      executed += run_round();
       maybe_publish();
       if (executed % check_every < tenants_.size()) {
         written = HostBytesWritten();
@@ -402,11 +407,7 @@ MetricsReport ExperimentRunner::Run() {
     const uint64_t sample_interval =
         std::max<uint64_t>(1, config_.total_ops / std::max(1u, config_.dlwa_samples));
     while (executed < config_.total_ops) {
-      for (auto& tenant : tenants_) {
-        const auto op = tenant->generator->Next();
-        ExecuteOp(*tenant, *op);
-        ++executed;
-      }
+      executed += run_round();
       maybe_publish();
       if (ssd != nullptr && executed % sample_interval < tenants_.size()) {
         const FdpStatistics now_stats = ssd->GetFdpStatisticsLog();

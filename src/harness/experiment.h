@@ -254,8 +254,9 @@ struct MetricsReport {
 class ExperimentRunner {
  public:
   // Throws std::runtime_error when the deployment cannot be provisioned: no
-  // tenants, a utilization outside (0, 1], or tenant partitions that do not
-  // fit the device (e.g. fdpbench --tenants=2 --superblocks=64), on every
+  // tenants, a utilization outside (0, 1], a soc_fraction outside [0, 1], a
+  // device_op_fraction outside [0, 1), or tenant partitions that do not fit
+  // the device (e.g. fdpbench --tenants=2 --superblocks=64), on every
   // backend; or when metrics_path cannot be published to, or trace_path
   // cannot be opened for writing.
   explicit ExperimentRunner(const ExperimentConfig& config);

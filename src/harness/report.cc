@@ -117,123 +117,6 @@ std::string SummarizeConcurrentReport(const std::string& label,
   return out.str();
 }
 
-std::string FormatQueuePairStats(const std::string& indent,
-                                 const std::vector<QueuePairStats>& queue_pairs) {
-  std::ostringstream out;
-  for (size_t i = 0; i < queue_pairs.size(); ++i) {
-    const QueuePairStats& qp = queue_pairs[i];
-    out << indent << "qp" << i << ": dispatched=" << qp.dispatched << " writes=" << qp.writes
-        << " reads=" << qp.reads << " p50_qd=" << qp.queue_depth.Percentile(50.0)
-        << " max_qd=" << qp.queue_depth.Max()
-        << " p99w=" << FormatNsAsUs(qp.write_latency_ns.Percentile(99.0)) << "\n";
-  }
-  return out.str();
-}
-
-std::string FormatLaneStats(const std::string& indent, const std::vector<LaneStats>& lanes) {
-  std::ostringstream out;
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    const LaneStats& lane = lanes[i];
-    out << indent << "lane" << i << ": dispatches=" << lane.dispatches
-        << " conflict_waits=" << lane.conflict_waits
-        << " busy=" << FormatDouble(static_cast<double>(lane.busy_ns) / 1e6, 1) << "ms"
-        << " p50_qd=" << lane.queue_depth.Percentile(50.0)
-        << " max_qd=" << lane.queue_depth.Max() << "\n";
-  }
-  return out.str();
-}
-
-std::string FormatDieBusy(const std::string& indent,
-                          const std::vector<uint64_t>& per_die_busy_ns) {
-  if (per_die_busy_ns.empty()) {
-    return "";
-  }
-  std::ostringstream out;
-  out << indent;
-  for (size_t i = 0; i < per_die_busy_ns.size(); ++i) {
-    out << (i == 0 ? "" : " ") << "die" << i << "="
-        << FormatDouble(static_cast<double>(per_die_busy_ns[i]) / 1e6, 1) << "ms";
-  }
-  out << "\n";
-  return out.str();
-}
-
-std::string FormatGcStats(const std::string& indent, const MetricsReport& r) {
-  if (r.gc_bg_ticks == 0 && r.gc_bg_migrated_pages == 0 && r.gc_bg_erases == 0) {
-    return "";
-  }
-  const uint64_t page = r.device_page_bytes;
-  std::ostringstream out;
-  out << indent << "migrated=" << FormatBytes(r.gc_bg_migrated_pages * page)
-      << " (" << r.gc_bg_migrated_pages << " pages) erases=" << r.gc_bg_erases
-      << " abandoned=" << r.gc_bg_abandoned << "\n";
-  out << indent << "ticks=" << r.gc_bg_ticks << " deferred=" << r.gc_bg_deferred_ticks
-      << " erase_suspensions=" << r.erase_suspensions << "\n";
-  out << indent << "fg_stall=" << FormatDouble(static_cast<double>(r.host_stall_ns) / 1e6, 1)
-      << "ms gc_die_time="
-      << FormatDouble(static_cast<double>(r.gc_die_ns) / 1e6, 1) << "ms\n";
-  if (!r.per_ruh_dlwa.empty()) {
-    out << indent << "per-ruh dlwa: [";
-    for (size_t i = 0; i < r.per_ruh_dlwa.size(); ++i) {
-      out << (i == 0 ? "" : " ") << "ruh" << i << "=" << FormatDouble(r.per_ruh_dlwa[i], 3);
-    }
-    out << "]\n";
-  }
-  return out.str();
-}
-
-std::string FormatPendingOps(const std::string& indent,
-                             const std::vector<uint64_t>& pending_ops) {
-  if (pending_ops.empty()) {
-    return "";
-  }
-  uint64_t total = 0;
-  for (const uint64_t p : pending_ops) {
-    total += p;
-  }
-  std::ostringstream out;
-  out << indent << "total=" << total << " [";
-  for (size_t i = 0; i < pending_ops.size(); ++i) {
-    out << (i == 0 ? "" : " ") << "shard" << i << "=" << pending_ops[i];
-  }
-  out << "]\n";
-  return out.str();
-}
-
-std::string FormatTraceBreakdown(const std::string& indent, const obs::TraceBreakdown& t) {
-  if (t.requests == 0) {
-    return "";
-  }
-  TextTable table({"stage", "spans", "excl_total", "share", "mean"});
-  const double total = static_cast<double>(t.total_request_ns);
-  for (size_t i = 0; i < obs::kNumTraceStages; ++i) {
-    const auto stage = static_cast<obs::TraceStage>(i);
-    if (stage == obs::TraceStage::kRequest || stage == obs::TraceStage::kGcTick) {
-      continue;  // kRequest is the denominator; GC ticks own no request time.
-    }
-    const obs::TraceStageBreakdown& row = t.stages[i];
-    if (row.spans == 0) {
-      continue;
-    }
-    table.AddRow({obs::TraceStageName(stage), std::to_string(row.spans),
-                  FormatNsAsUs(row.exclusive_ns),
-                  FormatPercent(total == 0.0 ? 0.0 : static_cast<double>(row.exclusive_ns) / total),
-                  FormatNsAsUs(row.exclusive_ns / row.spans)});
-  }
-  table.AddRow({"(unattributed)", "-", FormatNsAsUs(t.unattributed_ns),
-                FormatPercent(total == 0.0 ? 0.0 : static_cast<double>(t.unattributed_ns) / total),
-                "-"});
-  std::ostringstream out;
-  std::istringstream lines(table.ToString());
-  std::string line;
-  while (std::getline(lines, line)) {
-    out << indent << line << "\n";
-  }
-  out << indent << "requests=" << t.requests << " p50=" << FormatNsAsUs(t.request_p50_ns)
-      << " events=" << t.events << " dropped=" << t.dropped << "\n";
-  return out.str();
-}
-
 namespace {
 
 // The label set of one element of a per-QP, per-lane, per-RUH, ... array.

@@ -46,42 +46,6 @@ struct ConcurrentReplayReport;
 std::string SummarizeConcurrentReport(const std::string& label,
                                       const ConcurrentReplayReport& report);
 
-// One line per queue pair (dispatches, writes/reads, observed p50/max SQ
-// depth, p99 write latency), prefixed with `indent`. Empty string for an
-// empty vector.
-std::string FormatQueuePairStats(const std::string& indent,
-                                 const std::vector<QueuePairStats>& queue_pairs);
-
-// One line per execution lane (dispatches, conflict waits, device-model busy
-// time, observed p50/max lane-queue depth), prefixed with `indent`. Empty
-// string for an empty vector.
-std::string FormatLaneStats(const std::string& indent, const std::vector<LaneStats>& lanes);
-
-// Compact one-line per-die busy summary ("die0=1.2ms die1=0.9ms ..."), for
-// cross-checking lane utilization against die utilization. Empty string for
-// an empty vector.
-std::string FormatDieBusy(const std::string& indent,
-                          const std::vector<uint64_t>& per_die_busy_ns);
-
-// Multi-line background-GC summary (migrated bytes, erases, tick activity,
-// foreground interference, per-RUH DLWA), prefixed with `indent`. Empty
-// string when the report shows no background-GC activity at all.
-std::string FormatGcStats(const std::string& indent, const MetricsReport& report);
-
-// Compact one-line in-flight async-cache-op summary per shard/tenant
-// ("total=12 [shard0=3 shard1=4 ...]"), for the cache-tier queue-depth
-// gauge (ShardedCacheStats::pending_ops / MetricsReport::pending_cache_ops).
-// Empty string for an empty vector.
-std::string FormatPendingOps(const std::string& indent,
-                             const std::vector<uint64_t>& pending_ops);
-
-// Per-stage latency-attribution table from a traced run (`fdpbench --trace`):
-// one row per stage with span count, exclusive time, share of total request
-// time, and mean per occurrence, plus an unattributed row and a footer with
-// request count / p50 / dropped events. Empty string when the breakdown holds
-// no requests.
-std::string FormatTraceBreakdown(const std::string& indent, const obs::TraceBreakdown& trace);
-
 // Every figure of the report as Prometheus samples: the one place that names
 // them (README "Metrics exposition" lists each). Trace samples appear only
 // when the run was traced; metrics_snapshots has no sample.

@@ -22,6 +22,17 @@ namespace {
                            (err != 0 ? std::string(": ") + std::strerror(err) : ""));
 }
 
+// The one number writer of both renderers: a counter as an exact integer, a
+// gauge with %.17g, which round-trips.
+std::string ValueText(const MetricSample& s) {
+  if (s.kind == MetricSample::Kind::kCounter) {
+    return std::to_string(s.count);
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", s.gauge);
+  return buf;
+}
+
 }  // namespace
 
 std::string RenderPrometheus(std::vector<MetricSample> samples) {
@@ -38,16 +49,38 @@ std::string RenderPrometheus(std::vector<MetricSample> samples) {
       out += s.kind == MetricSample::Kind::kCounter ? " counter\n" : " gauge\n";
       last_family = family;
     }
-    out += s.name;
-    out += ' ';
-    if (s.kind == MetricSample::Kind::kCounter) {
-      out += std::to_string(s.count);
-    } else {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", s.gauge);
-      out += buf;
+    out += s.name + ' ' + ValueText(s) + '\n';
+  }
+  return out;
+}
+
+std::string RenderText(const std::vector<MetricSample>& samples, std::string_view prefix) {
+  // Each element's label and its line so far.
+  std::vector<std::pair<std::string_view, std::string>> lines;
+  for (const MetricSample& s : samples) {
+    if (s.name.compare(0, prefix.size(), prefix) != 0) {
+      continue;
     }
-    out += '\n';
+    const std::string_view name = std::string_view(s.name).substr(prefix.size());
+    // The element label is the first label, unless that is a quantile.
+    std::string_view element;
+    std::string key(name);
+    const size_t open = name.find('{');
+    if (open != std::string_view::npos && name.compare(open + 1, 9, "quantile=") != 0) {
+      const size_t end = name.find_first_of(",}", open);
+      element = name.substr(open + 1, end - open - 1);
+      key = std::string(name.substr(0, open)) + (name[end] == ',' ? "{" : "") +
+            std::string(name.substr(end + 1));
+    }
+    if (lines.empty() || lines.back().first != element) {
+      lines.emplace_back(element, element.empty() ? "" : std::string(element) + ":");
+    }
+    std::string& text = lines.back().second;
+    text += (text.empty() ? "" : " ") + key + '=' + ValueText(s);
+  }
+  std::string out;
+  for (const auto& line : lines) {
+    out += "  " + line.second + "\n";
   }
   return out;
 }

@@ -1,4 +1,4 @@
-// Prometheus exposition: a text renderer and a passive publisher.
+// Prometheus exposition: two text renderers and a passive publisher.
 //
 // The stats structs each layer already keeps (HybridCacheStats, DeviceStats,
 // QueuePairStats, LaneStats, SsdTelemetry) are the one store. An owner that
@@ -6,7 +6,8 @@
 // drives its caches — copies them into a MetricsReport; ReportSamples()
 // (src/harness/report.h) turns that into a vector of MetricSample,
 // RenderPrometheus() renders it and MetricsPublisher::Publish() hands the
-// text on. Nothing here runs on a thread of its own.
+// text on; RenderText() prints a family prefix of it for a text report.
+// Nothing here runs on a thread of its own.
 //
 // Naming convention (see README "Observability"): families are
 // `fdpcache_<layer>_<metric>` with Prometheus labels embedded directly in
@@ -17,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,6 +45,14 @@ struct MetricSample {
 // Prometheus text exposition: samples sorted by name, one # TYPE line per
 // family.
 std::string RenderPrometheus(std::vector<MetricSample> samples);
+
+// The samples whose names start with `prefix`, as lines for a text report:
+// one per element, headed by its label (`  qp="0": reads=5 ...`; no head when
+// unlabelled), so an element's samples must be consecutive, as ReportSamples
+// emits them. A value is keyed by its name minus `prefix` and the element
+// label (`depth{quantile="0.5"}=3`) and written as RenderPrometheus writes
+// it. Elements and keys keep the order of `samples`.
+std::string RenderText(const std::vector<MetricSample>& samples, std::string_view prefix);
 
 // Publishes rendered snapshots to `target`: a file path, rewritten
 // atomically (tmp + rename) on every Publish(), or "unix:<path>", a

@@ -256,6 +256,21 @@ TEST(HarnessTest, UndersizedMultiTenantDeploymentThrowsInsteadOfCrashing) {
       bad.utilization = utilization;
       EXPECT_THROW({ ExperimentRunner runner(bad); }, std::runtime_error) << utilization;
     }
+    // A SOC share above 1 used to wrap the LOC's size (std::bad_alloc), and
+    // overprovisioning of 1 or more to cast a negative page count to
+    // uint64_t (std::length_error).
+    for (const double fraction : {1.5, -0.1, std::nan("")}) {
+      ExperimentConfig bad = config;
+      bad.num_tenants = 1;
+      bad.soc_fraction = fraction;
+      EXPECT_THROW({ ExperimentRunner runner(bad); }, std::runtime_error) << fraction;
+    }
+    for (const double fraction : {1.5, 1.0, std::nan("")}) {
+      ExperimentConfig bad = config;
+      bad.num_tenants = 1;
+      bad.device_op_fraction = fraction;
+      EXPECT_THROW({ ExperimentRunner runner(bad); }, std::runtime_error) << fraction;
+    }
 
     // The same deployment with headroom provisions fine.
     config.utilization = 0.9;

@@ -1,8 +1,9 @@
 // Exposition tests (src/obs/metrics.h): the Prometheus text renderer (name
 // order, one # TYPE line per family, integer counters, round-tripping
-// gauges) and the passive publisher (atomic file snapshots that never
-// replace anything but a regular file, answering pending unix-socket
-// clients, replacing only stale sockets).
+// gauges), the plain-text renderer (one line per element, the same values)
+// and the passive publisher (atomic file snapshots that never replace
+// anything but a regular file, answering pending unix-socket clients,
+// replacing only stale sockets).
 #include "src/obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace fdpcache {
 namespace obs {
@@ -59,6 +61,39 @@ TEST(RenderPrometheusTest, CountersAreExactIntegersAndGaugesRoundTrip) {
   EXPECT_NE(text.find("\nfdpcache_tenth 0.10000000000000001\n"), std::string::npos);
   EXPECT_EQ(std::stod("0.10000000000000001"), 0.1);
   EXPECT_EQ(RenderPrometheus({}), "");
+}
+
+TEST(RenderTextTest, PrintsOneLinePerElementWithTheExpositionsValues) {
+  const uint64_t big = (uint64_t{1} << 60) + 1;
+  const std::vector<MetricSample> samples = {
+      MetricSample::Counter("fdpcache_qp_total_writes", big),
+      MetricSample::Gauge("fdpcache_qp_write_share", 0.1),
+      MetricSample::Gauge("fdpcache_qp_latency_ns{quantile=\"0.99\"}", 2.5),
+      MetricSample::Counter("fdpcache_qp_writes{qp=\"0\"}", 5),
+      MetricSample::Gauge("fdpcache_qp_max_depth{qp=\"0\"}", 12),
+      MetricSample::Counter("fdpcache_qp_writes{qp=\"1\"}", 7),
+      MetricSample::Gauge("fdpcache_qp_depth{qp=\"1\",quantile=\"0.5\"}", 3),
+      MetricSample::Counter("fdpcache_cache_gets", 3),  // Outside the prefix.
+  };
+  EXPECT_EQ(RenderText(samples, "fdpcache_qp_"),
+            "  total_writes=1152921504606846977 write_share=0.10000000000000001 "
+            "latency_ns{quantile=\"0.99\"}=2.5\n"
+            "  qp=\"0\": writes=5 max_depth=12\n"
+            "  qp=\"1\": writes=7 depth{quantile=\"0.5\"}=3\n");
+  EXPECT_EQ(RenderText(samples, "fdpcache_ruh_"), "");
+  // Each value above is the exposition's text for the sample it names.
+  const std::string exposition = RenderPrometheus(samples);
+  for (const char* line : {
+           "fdpcache_qp_total_writes 1152921504606846977",
+           "fdpcache_qp_write_share 0.10000000000000001",
+           "fdpcache_qp_latency_ns{quantile=\"0.99\"} 2.5",
+           "fdpcache_qp_writes{qp=\"0\"} 5",
+           "fdpcache_qp_max_depth{qp=\"0\"} 12",
+           "fdpcache_qp_writes{qp=\"1\"} 7",
+           "fdpcache_qp_depth{qp=\"1\",quantile=\"0.5\"} 3",
+       }) {
+    EXPECT_NE(exposition.find(std::string("\n") + line + "\n"), std::string::npos) << line;
+  }
 }
 
 TEST(MetricsPublisherTest, RewritesTheSnapshotFileWhole) {

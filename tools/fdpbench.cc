@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/harness/experiment.h"
 #include "src/harness/report.h"
@@ -75,9 +76,9 @@ void PrintUsage() {
       "  --trace[=path]                    per-request stage tracing of the measured\n"
       "                                    phase; writes chrome://tracing JSON to path\n"
       "                                    (default fdpbench_trace.json; --trace=off\n"
-      "                                    disables) and prints the per-stage latency\n"
-      "                                    breakdown. Wall-clock spans only: virtual-\n"
-      "                                    time metrics are identical with --trace off\n"
+      "                                    disables) and prints the fdpcache_trace_*\n"
+      "                                    samples. Wall-clock spans only: virtual-time\n"
+      "                                    metrics are identical with --trace off\n"
       "  --trace-sample=N                  trace 1 in N requests (also accepts 1/N;\n"
       "                                    default 1 = every request)\n"
       "  --metrics-every=1s                live Prometheus snapshot interval: N, Nms\n"
@@ -184,10 +185,12 @@ int Run(int argc, char** argv) {
     ms_per_unit = 1000.0;
   }
   double every_ms = 0.0;
-  if (Flags::ParseDouble(number, &every_ms) && every_ms * ms_per_unit <= UINT32_MAX) {
-    config.metrics_interval_ms = static_cast<uint32_t>(every_ms * ms_per_unit);
-  } else {
+  if (!Flags::ParseDouble(number, &every_ms) || every_ms * ms_per_unit > UINT32_MAX) {
     flags.Fail("metrics-every", every, "want <number>, <number>ms or <number>s");
+  } else if (every_ms * ms_per_unit > 0.0 && every_ms * ms_per_unit < 1.0) {
+    flags.Fail("metrics-every", every, "want 0 or at least 1ms");
+  } else {
+    config.metrics_interval_ms = static_cast<uint32_t>(every_ms * ms_per_unit);
   }
   config.metrics_path = flags.GetString("metrics-out", "");
   const bool csv = flags.GetBool("csv", false);
@@ -249,13 +252,15 @@ int Run(int argc, char** argv) {
   std::printf("cache: flash=%s ram=%s\n", FormatBytes(r.cache_bytes).c_str(),
               FormatBytes(r.ram_bytes).c_str());
   std::printf("%s\n", SummarizeReport("result", r).c_str());
+  // Each detail section prints the --metrics-out samples under its prefixes.
+  const std::vector<obs::MetricSample> samples = ReportSamples(r);
   if (config.queue_depth > 1 || config.queue_pairs > 1) {
     std::printf("device queue pairs (qd=%u, qps=%u):\n%s", config.queue_depth,
-                config.queue_pairs, FormatQueuePairStats("  ", r.device_queue_pairs).c_str());
+                config.queue_pairs, obs::RenderText(samples, "fdpcache_qp_").c_str());
   }
   if (config.cache_queue_depth > 1) {
     std::printf("cache-tier async ops at collection (cache-qd=%u):\n%s",
-                config.cache_queue_depth, FormatPendingOps("  ", r.pending_cache_ops).c_str());
+                config.cache_queue_depth, obs::RenderText(samples, "fdpcache_tenant_").c_str());
   }
   if (r.flush_failures != 0) {
     std::printf("WARNING: %llu flush barrier(s) reported failed flash writes "
@@ -267,19 +272,20 @@ int Run(int argc, char** argv) {
                 FormatBytes(config.lane_stripe_bytes != 0 ? config.lane_stripe_bytes
                                                           : ExperimentConfig::kLocRegionSize)
                     .c_str(),
-                FormatLaneStats("  ", r.device_lanes).c_str());
+                obs::RenderText(samples, "fdpcache_lane_").c_str());
     std::printf("die busy (for lane-vs-die cross-check):\n%s",
-                FormatDieBusy("  ", r.per_die_busy_ns).c_str());
+                obs::RenderText(samples, "fdpcache_die_").c_str());
   }
   if (config.gc_mode != GcMode::kOff) {
-    std::printf("background GC (--gc=%s, %.1f overwrite passes done):\n%s", gc.c_str(),
-                r.overwrite_passes_done, FormatGcStats("  ", r).c_str());
+    std::printf("background GC (--gc=%s, %.1f overwrite passes done):\n%s%s%s", gc.c_str(),
+                r.overwrite_passes_done, obs::RenderText(samples, "fdpcache_gc_").c_str(),
+                obs::RenderText(samples, "fdpcache_host_").c_str(),
+                obs::RenderText(samples, "fdpcache_ruh_").c_str());
   }
   if (r.traced) {
     std::printf("trace breakdown (--trace, 1/%u sampling%s%s):\n%s", config.trace_sample,
-                config.trace_path.empty() ? "" : ", json=",
-                config.trace_path.c_str(),
-                FormatTraceBreakdown("  ", r.trace).c_str());
+                config.trace_path.empty() ? "" : ", json=", config.trace_path.c_str(),
+                obs::RenderText(samples, "fdpcache_trace_").c_str());
   }
   if (r.metrics_snapshots != 0) {
     const std::string every = " every " + std::to_string(config.metrics_interval_ms) + "ms";
